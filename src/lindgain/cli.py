@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -20,10 +19,6 @@ from .errors import LindgainError, ValidationError
 from .material import DrudeParams, ScalarPermittivitySplit
 
 PROG = "lindgain"
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.11e}"
 
 
 def _require(cfg: dict, path: str):
@@ -57,13 +52,25 @@ def _as_matrix2(value, path: str) -> np.ndarray:
         raise ValidationError(f"bad matrix at {path}: {exc}") from exc
 
 
+def _finite(text: str, kind=float):
+    if not np.isfinite(float(text)):
+        raise ValidationError(f"non-finite number {text} in config")
+    return kind(text)
+
+
 def load_config(path: str) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ValidationError(f"cannot read config {path}: {exc}") from exc
     try:
-        cfg = json.loads(text)
+        # json accepts NaN, Infinity and literals that overflow a float
+        cfg = json.loads(
+            text,
+            parse_constant=_finite,
+            parse_float=_finite,
+            parse_int=lambda t: _finite(t, int),
+        )
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
@@ -181,25 +188,25 @@ def build_liouvillian(model: dict) -> master.Liouvillian:
     return master.liouvillian_v(model["rates"], qubit.omega_a)
 
 
-_NAMED_STATES_V = {
-    "g": np.array([1.0, 0.0, 0.0]),
-    "e1": np.array([0.0, 1.0, 0.0]),
-    "e2": np.array([0.0, 0.0, 1.0]),
-    "bright": np.array([0.0, 1.0, 1.0]) / np.sqrt(2.0),
-    "dark": np.array([0.0, 1.0, -1.0]) / np.sqrt(2.0),
-}
-_NAMED_STATES_2 = {
-    "g": np.array([1.0, 0.0]),
-    "e": np.array([0.0, 1.0]),
+_NAMED_STATES = {
+    master.TWO_LEVEL: {
+        "g": np.array([1.0, 0.0]),
+        "e": np.array([0.0, 1.0]),
+    },
+    master.V_SHAPED: {
+        "g": np.array([1.0, 0.0, 0.0]),
+        "e1": np.array([0.0, 1.0, 0.0]),
+        "e2": np.array([0.0, 0.0, 1.0]),
+        "bright": np.array([0.0, 1.0, 1.0]) / np.sqrt(2.0),
+        "dark": np.array([0.0, 1.0, -1.0]) / np.sqrt(2.0),
+    },
 }
 
 
 def parse_initial_state(value, model: str) -> master.DensityMatrix:
-    labels = (
-        master.TWO_LEVEL_LABELS if model == master.TWO_LEVEL else master.V_LABELS
-    )
+    table = _NAMED_STATES[model]
+    labels = master.LABELS[len(table["g"])]
     if isinstance(value, str):
-        table = _NAMED_STATES_2 if model == master.TWO_LEVEL else _NAMED_STATES_V
         if value not in table:
             raise ValidationError(
                 f"unknown initial_state {value!r}; expected one of "
@@ -222,57 +229,50 @@ def parse_initial_state(value, model: str) -> master.DensityMatrix:
 # output writers
 
 
-def write_trajectory_csv(path: Path, traj: master.Trajectory, model: str) -> None:
-    lines = []
-    if model == master.TWO_LEVEL:
-        lines.append("t,rho_gg,rho_ee,re_rho_ge,im_rho_ge,trace,min_eigenvalue")
-        for t, st in zip(traj.times, traj.states):
-            r = st.rho
-            lines.append(
-                ",".join(
-                    _fmt(x)
-                    for x in (
-                        t,
-                        r[0, 0].real,
-                        r[1, 1].real,
-                        r[0, 1].real,
-                        r[0, 1].imag,
-                        st.trace,
-                        st.min_eigenvalue,
-                    )
-                )
-            )
-    else:
-        lines.append(
-            "t,rho_gg,rho_e1e1,rho_e2e2,re_rho_e1e2,im_rho_e1e2,trace,min_eigenvalue"
-        )
-        for t, st in zip(traj.times, traj.states):
-            r = st.rho
-            lines.append(
-                ",".join(
-                    _fmt(x)
-                    for x in (
-                        t,
-                        r[0, 0].real,
-                        r[1, 1].real,
-                        r[2, 2].real,
-                        r[1, 2].real,
-                        r[1, 2].imag,
-                        st.trace,
-                        st.min_eigenvalue,
-                    )
-                )
-            )
+COLORS = ("green", "blue", "red")
+
+
+def _write_csv(path: Path, columns: dict) -> None:
+    """One CSV file from a header -> column mapping, 12 significant digits."""
+    row = ",".join(["{:.11e}"] * len(columns))
+    rows = np.column_stack(list(columns.values())).tolist()
+    lines = [",".join(columns)] + [row.format(*r) for r in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
+def _populations(labels: tuple, pops: np.ndarray) -> dict:
+    """Columns rho_ll of an (n, d) array of level populations."""
+    return {f"rho_{lv}{lv}": p for lv, p in zip(labels, pops.T)}
+
+
+def _trajectory_populations(traj: master.Trajectory) -> dict:
+    return _populations(traj.labels, np.diagonal(traj.rho, axis1=1, axis2=2).real)
+
+
+def write_trajectory_csv(path: Path, traj: master.Trajectory) -> None:
+    """Populations, the coherence between the last two levels, trace and
+    smallest eigenvalue of every state."""
+    a, b = traj.labels[-2:]
+    coherence = traj.rho[:, -2, -1]
+    columns = {
+        "t": traj.times,
+        **_trajectory_populations(traj),
+        f"re_rho_{a}{b}": coherence.real,
+        f"im_rho_{a}{b}": coherence.imag,
+        "trace": traj.trace,
+        "min_eigenvalue": traj.min_eigenvalue,
+    }
+    _write_csv(path, columns)
+
+
 def _svg_line_chart(
-    series: list[tuple[str, np.ndarray, np.ndarray, str]],
+    series: list[tuple[str, np.ndarray, np.ndarray]],
     xlabel: str,
     ylabel: str,
     logx: bool = False,
 ) -> str:
-    """Minimal deterministic SVG line chart (no external plotting service)."""
+    """Minimal deterministic SVG line chart (no external plotting service);
+    the k-th series is drawn in COLORS[k]."""
     w, h, pad = 640, 420, 56
     xs = np.concatenate([np.log10(s[1]) if logx else s[1] for s in series])
     ys = np.concatenate([s[2] for s in series])
@@ -300,7 +300,8 @@ def _svg_line_chart(
         f'<text x="16" y="{h // 2}" text-anchor="middle" font-size="14" '
         f'transform="rotate(-90 16 {h // 2})">{ylabel}</text>',
     ]
-    for k, (label, x, y, color) in enumerate(series):
+    for k, (label, x, y) in enumerate(series):
+        color = COLORS[k]
         xv = np.log10(x) if logx else x
         pts = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(xv, y))
         parts.append(
@@ -314,19 +315,9 @@ def _svg_line_chart(
     return "\n".join(parts)
 
 
-def _plot_trajectory(path: Path, traj: master.Trajectory, model: str) -> None:
-    t = traj.times
-    if model == master.TWO_LEVEL:
-        series = [
-            ("rho_gg", t, np.array([s.rho[0, 0].real for s in traj.states]), "green"),
-            ("rho_ee", t, np.array([s.rho[1, 1].real for s in traj.states]), "blue"),
-        ]
-    else:
-        series = [
-            ("rho_gg", t, np.array([s.rho[0, 0].real for s in traj.states]), "green"),
-            ("rho_e1e1", t, np.array([s.rho[1, 1].real for s in traj.states]), "blue"),
-            ("rho_e2e2", t, np.array([s.rho[2, 2].real for s in traj.states]), "red"),
-        ]
+def _plot_trajectory(path: Path, traj: master.Trajectory) -> None:
+    pops = _trajectory_populations(traj)
+    series = [(label, traj.times, p) for label, p in pops.items()]
     path.write_text(_svg_line_chart(series, "t (1/omega_a)", "population"))
 
 
@@ -353,12 +344,9 @@ def run_evolve(cfg: dict, out_dir: Path, quiet: bool = False) -> int:
         n_steps=int(_require(cfg, "evolution.n_steps")),
     )
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_trajectory_csv(out_dir / "trajectory.csv", traj, qm)
+    write_trajectory_csv(out_dir / "trajectory.csv", traj)
     if cfg.get("output", {}).get("plot", True):
-        try:
-            _plot_trajectory(out_dir / "trajectory.svg", traj, qm)
-        except Exception:
-            pass  # plots are best-effort; data export already succeeded
+        _plot_trajectory(out_dir / "trajectory.svg", traj)
     if not quiet:
         print(f"wrote {out_dir / 'trajectory.csv'}")
     return 0
@@ -442,9 +430,11 @@ def run_spectrum(
     omega_max: float,
     n_points: int,
     out_dir: Path,
-    parallel: bool = False,
     quiet: bool = False,
 ) -> int:
+    """Field spectrum on an omega grid.  The permittivity split is fixed by
+    the config, so the spectrum is the same at every omega: it is evaluated
+    once and repeated on each row."""
     if not (0 < omega_min <= omega_max):
         raise ValidationError("require 0 < omega_min <= omega_max")
     if n_points < 1:
@@ -461,32 +451,14 @@ def run_spectrum(
         if n_points > 1
         else np.array([omega_min])
     )
-
-    def point(w):
-        return correlations.field_spectrum(split, geom, w, n_omega)
-
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            points = list(pool.map(point, omegas))
-    else:
-        points = [point(w) for w in omegas]
-    lines = ["omega,occupation,s_xx,s_yy,s_zz"]
-    for p in points:
-        lines.append(
-            ",".join(
-                _fmt(x)
-                for x in (
-                    p.omega,
-                    p.occupation,
-                    p.tensor[0, 0].real,
-                    p.tensor[1, 1].real,
-                    p.tensor[2, 2].real,
-                )
-            )
-        )
+    s = correlations.field_spectrum(split, geom, omega_min, n_omega).tensor.real
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "spectrum.csv"
-    path.write_text("\n".join(lines) + "\n")
+    _write_csv(path, {
+        "omega": omegas,
+        "occupation": np.full_like(omegas, n_omega),
+        **{f"s_{x}{x}": np.full_like(omegas, s[k, k]) for k, x in enumerate("xyz")},
+    })
     if not quiet:
         print(f"wrote {path}")
     return 0
@@ -512,66 +484,39 @@ FIGURE_PRESETS = {
 }
 
 
-def fig3b_sweep(n_points: int = 64, parallel: bool = False):
+def fig3b_sweep(n_points: int = 64) -> np.ndarray:
     """Steady-state populations over a log grid of occupations, using kernel
-    analysis (no time integration)."""
-    grid = np.logspace(-2.0, 3.0, n_points)
-
-    def point(n):
-        rates = master.thermal_rate_matrices(
-            FIG3_RATES, master.ThermalOccupation(n)
-        )
-        L = master.liouvillian_v(rates)
-        state, _ = master.steady_state_kernel(L)
-        r = state.rho
-        return (n, r[0, 0].real, r[1, 1].real, r[2, 2].real)
-
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            rows = list(pool.map(point, grid))
-    else:
-        rows = [point(n) for n in grid]
-    return rows
+    analysis (no time integration).  Rows are (n, rho_gg, rho_e1e1,
+    rho_e2e2)."""
+    rows = []
+    for n in np.logspace(-2.0, 3.0, n_points):
+        rates = master.thermal_rate_matrices(FIG3_RATES, master.ThermalOccupation(n))
+        state, _ = master.steady_state_kernel(master.liouvillian_v(rates))
+        rows.append([n, *np.diag(state.rho).real])
+    return np.array(rows)
 
 
-def run_figure(
-    name: str, out_dir: Path, parallel: bool = False, quiet: bool = False
-) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if name == "fig3b":
-        rows = fig3b_sweep(parallel=parallel)
-        lines = ["n,rho_gg,rho_e1e1,rho_e2e2"]
-        lines += [",".join(_fmt(x) for x in row) for row in rows]
-        csv_path = out_dir / "fig3b.csv"
-        csv_path.write_text("\n".join(lines) + "\n")
-        try:
-            data = np.array(rows)
-            series = [
-                ("rho_gg", data[:, 0], data[:, 1], "green"),
-                ("rho_e1e1", data[:, 0], data[:, 2], "blue"),
-                ("rho_e2e2", data[:, 0], data[:, 3], "red"),
-            ]
-            (out_dir / "fig3b.svg").write_text(
-                _svg_line_chart(series, "log10 occupation", "population", logx=True)
-            )
-        except Exception:
-            pass
-        if not quiet:
-            print(f"wrote {csv_path}")
-        return 0
-    if name not in FIGURE_PRESETS:
+def run_figure(name: str, out_dir: Path, quiet: bool = False) -> int:
+    if name != "fig3b" and name not in FIGURE_PRESETS:
         raise ValidationError(f"unknown figure preset {name!r}")
-    rates, init = FIGURE_PRESETS[name]
-    rho0 = parse_initial_state(init, master.V_SHAPED)
-    traj = master.evolve(
-        master.liouvillian_v(rates), rho0, PRESET_T_MAX, PRESET_N_STEPS
-    )
+    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{name}.csv"
-    write_trajectory_csv(csv_path, traj, master.V_SHAPED)
-    try:
-        _plot_trajectory(out_dir / f"{name}.svg", traj, master.V_SHAPED)
-    except Exception:
-        pass
+    if name == "fig3b":
+        data = fig3b_sweep()
+        pops = _populations(master.V_LABELS, data[:, 1:])
+        _write_csv(csv_path, {"n": data[:, 0], **pops})
+        series = [(label, data[:, 0], p) for label, p in pops.items()]
+        (out_dir / "fig3b.svg").write_text(
+            _svg_line_chart(series, "log10 occupation", "population", logx=True)
+        )
+    else:
+        rates, init = FIGURE_PRESETS[name]
+        rho0 = parse_initial_state(init, master.V_SHAPED)
+        traj = master.evolve(
+            master.liouvillian_v(rates), rho0, PRESET_T_MAX, PRESET_N_STEPS
+        )
+        write_trajectory_csv(csv_path, traj)
+        _plot_trajectory(out_dir / f"{name}.svg", traj)
     if not quiet:
         print(f"wrote {csv_path}")
     return 0
@@ -586,7 +531,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog=PROG,
         description="Qubit dynamics in structured-gain photonic environments",
     )
-    parser.add_argument("--parallel", action="store_true", help="parallel sweeps")
+    parser.add_argument(
+        "--parallel", action="store_true", help="accepted for compatibility; no effect"
+    )
     parser.add_argument("--quiet", action="store_true", help="suppress status output")
     # also accepted after the subcommand; SUPPRESS keeps the global value
     common = argparse.ArgumentParser(add_help=False)
@@ -626,9 +573,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         out_dir = Path(getattr(args, "out", "."))
         if args.command == "figure":
-            return run_figure(
-                args.name, out_dir, parallel=args.parallel, quiet=args.quiet
-            )
+            return run_figure(args.name, out_dir, quiet=args.quiet)
         cfg = load_config(args.config)
         if args.command == "evolve":
             return run_evolve(cfg, out_dir, quiet=args.quiet)
@@ -643,7 +588,6 @@ def main(argv: list[str] | None = None) -> int:
                 args.omega_max,
                 args.n,
                 out_dir,
-                parallel=args.parallel,
                 quiet=args.quiet,
             )
         raise ValidationError(f"unknown command {args.command!r}")

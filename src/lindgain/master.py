@@ -8,6 +8,7 @@ two-level system this reproduces the textbook 4x4 generator layout in the
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,11 @@ V_SHAPED = "v_shaped"
 KERNEL_TOL = 1e-10
 TRACE_TOL = 1e-9
 POSITIVITY_TOL = 1e-9
+HERMITICITY_TOL = 1e-9
+
+LABELS = {2: ("g", "e"), 3: ("g", "e1", "e2")}
+TWO_LEVEL_LABELS = LABELS[2]
+V_LABELS = LABELS[3]
 
 
 @dataclass(frozen=True)
@@ -102,10 +108,9 @@ class RateMatrices:
 
 @dataclass
 class Liouvillian:
-    """Dense superoperator with its declared (bra, ket) basis ordering."""
+    """Dense superoperator over the row-major vectorized density matrix."""
 
     matrix: np.ndarray
-    basis: list
     omega_a: float
 
     @property
@@ -139,7 +144,9 @@ class DensityMatrix:
         return float(np.linalg.eigvalsh(0.5 * (self.rho + self.rho.conj().T)).min())
 
     def validate(self) -> "DensityMatrix":
-        require_hermitian(self.rho, tol=1e-9)
+        if not np.isfinite(self.rho).all():
+            raise NumericalInstabilityError("state has non-finite entries")
+        require_hermitian(self.rho, tol=HERMITICITY_TOL)
         if abs(self.trace - 1.0) > TRACE_TOL:
             raise NumericalInstabilityError(
                 f"trace deviates from 1 by {abs(self.trace - 1.0):.3e}"
@@ -157,41 +164,49 @@ class DensityMatrix:
 
 @dataclass
 class Trajectory:
+    """States on a uniform time grid as one (n+1, d, d) array, with the trace
+    and the smallest eigenvalue of each state."""
+
     times: np.ndarray
-    states: list
+    rho: np.ndarray
+    labels: tuple
+    trace: np.ndarray
+    min_eigenvalue: np.ndarray
+
+    @functools.cached_property
+    def states(self) -> list[DensityMatrix]:
+        """The rows of ``rho`` as density matrices (views, built once)."""
+        return [DensityMatrix(r, self.labels) for r in self.rho]
 
 
-TWO_LEVEL_LABELS = ("g", "e")
-V_LABELS = ("g", "e1", "e2")
+def _mix(loss, gain, occ: ThermalOccupation):
+    """Bose mixing of a loss/gain pair: loss_th = (1+n) loss + n gain,
+    gain_th = (1+n) gain + n loss.  Linear, so it commutes with the rate
+    projection."""
+    n = occ.n
+    return (1.0 + n) * loss + n * gain, (1.0 + n) * gain + n * loss
 
 
 def thermal_tensors(
     pair: InteractionTensorPair, occ: ThermalOccupation
 ) -> InteractionTensorPair:
-    """Mix the zero-temperature channel tensors with the Bose occupation:
-    loss_th = (1+n) loss + n gain, gain_th = (1+n) gain + n loss."""
-    n = occ.n
-    return InteractionTensorPair(
-        loss=(1.0 + n) * pair.loss + n * pair.gain,
-        gain=(1.0 + n) * pair.gain + n * pair.loss,
-    )
+    """Mix the zero-temperature channel tensors with the Bose occupation."""
+    return InteractionTensorPair(*_mix(pair.loss, pair.gain, occ))
 
 
 def thermal_rate_pair(rates: RatePair, occ: ThermalOccupation) -> RatePair:
-    """Rate-level counterpart of :func:`thermal_tensors` (equivalent by
-    linearity of the quadratic forms)."""
-    n = occ.n
-    return RatePair(
-        gamma_loss=(1.0 + n) * rates.gamma_loss + n * rates.gamma_gain,
-        gamma_gain=(1.0 + n) * rates.gamma_gain + n * rates.gamma_loss,
-    )
+    """Rate-level counterpart of :func:`thermal_tensors`."""
+    return RatePair(*_mix(rates.gamma_loss, rates.gamma_gain, occ))
 
 
 def thermal_rate_matrices(rates: RateMatrices, occ: ThermalOccupation) -> RateMatrices:
-    n = occ.n
-    return RateMatrices(
-        loss=(1.0 + n) * rates.loss + n * rates.gain,
-        gain=(1.0 + n) * rates.gain + n * rates.loss,
+    return RateMatrices(*_mix(rates.loss, rates.gain, occ))
+
+
+def _kossakowski(gammas: list, tensor: np.ndarray) -> np.ndarray:
+    """Kossakowski matrix Gamma_ij = 2 gamma_i^* . tensor . gamma_j."""
+    return np.array(
+        [[2.0 * (gi.conj() @ tensor @ gj) for gj in gammas] for gi in gammas]
     )
 
 
@@ -199,10 +214,11 @@ def rates_two_level(q: QubitSpec, pair_th: InteractionTensorPair) -> RatePair:
     """Rate constants 2 gamma_e^* . G_th . gamma_e for both channels."""
     if q.model != TWO_LEVEL:
         raise ValidationError("rates_two_level requires a two-level qubit")
-    g = q.dipole
-    gl = 2.0 * np.real(g.conj() @ pair_th.loss @ g)
-    gg = 2.0 * np.real(g.conj() @ pair_th.gain @ g)
-    return RatePair(gamma_loss=float(gl), gamma_gain=float(gg))
+    loss, gain = (
+        float(_kossakowski([q.dipole], t)[0, 0].real)
+        for t in (pair_th.loss, pair_th.gain)
+    )
+    return RatePair(gamma_loss=loss, gamma_gain=gain)
 
 
 def rate_matrices_v(q: QubitSpec, pair_th: InteractionTensorPair) -> RateMatrices:
@@ -211,14 +227,9 @@ def rate_matrices_v(q: QubitSpec, pair_th: InteractionTensorPair) -> RateMatrice
     if q.model != V_SHAPED:
         raise ValidationError("rate_matrices_v requires a V-shaped qubit")
     gammas = [q.dipole, q.dipole.conj()]
-    out = {}
-    for name, tensor in (("loss", pair_th.loss), ("gain", pair_th.gain)):
-        m = np.zeros((2, 2), dtype=complex)
-        for i in range(2):
-            for j in range(2):
-                m[i, j] = 2.0 * (gammas[i].conj() @ tensor @ gammas[j])
-        out[name] = m
-    return RateMatrices(loss=out["loss"], gain=out["gain"])
+    return RateMatrices(
+        _kossakowski(gammas, pair_th.loss), _kossakowski(gammas, pair_th.gain)
+    )
 
 
 def _sandwich(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -238,51 +249,54 @@ def _dissipator(j_left: np.ndarray, j_right: np.ndarray) -> np.ndarray:
     )
 
 
-def _hamiltonian_part(h: np.ndarray) -> np.ndarray:
-    dim = h.shape[0]
-    eye = np.eye(dim, dtype=complex)
-    return -1j * (_sandwich(h, eye) - _sandwich(eye, h))
+@functools.cache
+def _superoperators(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unit superoperators of a qubit with m excited levels: the commutator
+    [E, .] with the excited-level projector E, and the (m, m) stacks of loss
+    dissipators D[s_j, s_i^+] and gain dissipators D[s_i^+, s_j] with the
+    jump operators s_j = |g><e_j|.  Cached, hence read-only."""
+    eye = np.eye(m + 1, dtype=complex)
+    sm = [np.outer(eye[0], eye[j + 1]) for j in range(m)]
+    sp = [s.conj().T for s in sm]
+    e = np.diag([0.0] + [1.0] * m).astype(complex)
+    ham = _sandwich(e, eye) - _sandwich(eye, e)
+    loss = np.array([[_dissipator(sm[j], sp[i]) for j in range(m)] for i in range(m)])
+    gain = np.array([[_dissipator(sp[i], sm[j]) for j in range(m)] for i in range(m)])
+    for a in (ham, loss, gain):
+        a.flags.writeable = False
+    return ham, loss, gain
+
+
+def _liouvillian(loss: np.ndarray, gain: np.ndarray, omega_a: float) -> Liouvillian:
+    """Generator -i omega_a [E, .] + sum_ij loss_ij D[s_j, s_i^+]
+    + gain_ij D[s_i^+, s_j] of the qubit with m = len(loss) excited levels."""
+    m = len(loss)
+    ham, d_loss, d_gain = _superoperators(m)
+    mat = -1j * (omega_a * ham)
+    for i in range(m):
+        for j in range(m):
+            mat += loss[i][j] * d_loss[i, j]
+            mat += gain[i][j] * d_gain[i, j]
+    return Liouvillian(matrix=mat, omega_a=omega_a)
 
 
 def liouvillian_two_level(rates: RatePair, omega_a: float = 1.0) -> Liouvillian:
     """4x4 generator in the (gg, ge, eg, ee) basis, including the coherence
     phase terms at +-i omega_a."""
-    sm = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|
-    sp = sm.conj().T
-    h = omega_a * np.diag([0.0, 1.0]).astype(complex)
-    mat = (
-        _hamiltonian_part(h)
-        + rates.gamma_loss * _dissipator(sm, sp)
-        + rates.gamma_gain * _dissipator(sp, sm)
-    )
-    basis = [(b, k) for b in TWO_LEVEL_LABELS for k in TWO_LEVEL_LABELS]
-    return Liouvillian(matrix=mat, basis=basis, omega_a=omega_a)
+    return _liouvillian([[rates.gamma_loss]], [[rates.gamma_gain]], omega_a)
 
 
 def liouvillian_v(rates: RateMatrices, omega_a: float = 1.0) -> Liouvillian:
-    """9x9 generator over (g, e1, e2) row-major, assembled from the jump
-    operators sigma_{j-} = |g><e_j| with the loss Kossakowski matrix on the
-    lowering terms and the gain matrix on the raising terms."""
-    dim = 3
-    sm = [np.zeros((dim, dim), dtype=complex) for _ in range(2)]
-    sm[0][0, 1] = 1.0  # |g><e1|
-    sm[1][0, 2] = 1.0  # |g><e2|
-    sp = [s.conj().T for s in sm]
-    h = omega_a * np.diag([0.0, 1.0, 1.0]).astype(complex)
-    mat = _hamiltonian_part(h)
-    for i in range(2):
-        for j in range(2):
-            mat += rates.loss[i, j] * _dissipator(sm[j], sp[i])
-            mat += rates.gain[i, j] * _dissipator(sp[i], sm[j])
-    basis = [(b, k) for b in V_LABELS for k in V_LABELS]
-    return Liouvillian(matrix=mat, basis=basis, omega_a=omega_a)
+    """9x9 generator over (g, e1, e2) row-major, with the loss Kossakowski
+    matrix on the lowering terms and the gain matrix on the raising terms."""
+    return _liouvillian(rates.loss, rates.gain, omega_a)
 
 
 def evolve(
     L: Liouvillian, rho0: DensityMatrix, t_max: float, n_steps: int
 ) -> Trajectory:
     """Propagate on a uniform grid by repeated application of the exact
-    step propagator expm(L dt)."""
+    step propagator expm(L dt), then check the invariants of every state."""
     if t_max <= 0:
         raise DomainError("t_max must be > 0")
     if n_steps < 2:
@@ -294,20 +308,35 @@ def evolve(
     times = np.linspace(0.0, t_max, n_steps + 1)
     dt = times[1] - times[0]
     prop = expm(L.matrix * dt)
-    labels = TWO_LEVEL_LABELS if dim == 2 else V_LABELS
-    vec = rho0.rho.reshape(-1).astype(complex)
-    states = [DensityMatrix(rho0.rho.copy(), labels)]
+    vecs = np.empty((n_steps + 1, dim * dim), dtype=complex)
+    vecs[0] = rho0.rho.reshape(-1)
     for step in range(1, n_steps + 1):
-        vec = prop @ vec
-        state = DensityMatrix(vec.reshape(dim, dim), labels)
+        vecs[step] = prop @ vecs[step - 1]
+    rho = vecs.reshape(-1, dim, dim)
+    finite = np.isfinite(vecs).all(axis=1)
+    # non-finite states are zeroed so that eigvalsh runs; `finite` fails them
+    safe = np.where(finite[:, None, None], rho, 0.0)
+    adj = safe.conj().transpose(0, 2, 1)
+    trace = np.trace(safe, axis1=1, axis2=2).real
+    min_eig = np.linalg.eigvalsh(0.5 * (safe + adj))[:, 0]
+    # written so that NaN fails every comparison
+    ok = (
+        finite
+        & (np.abs(safe - adj).max(axis=(1, 2)) <= HERMITICITY_TOL)
+        & (np.abs(trace - 1.0) <= TRACE_TOL)
+        & (min_eig >= -POSITIVITY_TOL)
+    )
+    traj = Trajectory(times, rho, LABELS[dim], trace, min_eig)
+    if not ok.all():
+        # the first failing state raises the same error as a per-step check
+        step = int(np.argmin(ok))
         try:
-            state.validate()
+            DensityMatrix(rho[step], traj.labels).validate()
         except NumericalInstabilityError as exc:
             raise NumericalInstabilityError(
                 f"invariant violated at step {step} (t = {times[step]:.6g}): {exc}"
             ) from exc
-        states.append(state)
-    return Trajectory(times=times, states=states)
+    return traj
 
 
 def steady_state_kernel(
@@ -324,7 +353,6 @@ def steady_state_kernel(
     idx = np.where(np.abs(vals) <= KERNEL_TOL * scale)[0]
     kdim = len(idx)
     dim = L.dim
-    labels = TWO_LEVEL_LABELS if dim == 2 else V_LABELS
     if kdim == 0:
         raise SpectralToleranceError(
             "no kernel vector found within spectral tolerance"
@@ -347,7 +375,7 @@ def steady_state_kernel(
     tr = np.trace(rho).real
     if abs(tr) < 1e-14:
         raise SpectralToleranceError("kernel state has vanishing trace")
-    state = DensityMatrix(rho / tr, labels)
+    state = DensityMatrix(rho / tr, LABELS[dim])
     state.validate()
     return state, kdim
 

@@ -90,6 +90,34 @@ class TestEvolve:
         assert "environment.isotropic_substrate.z_a" in capsys.readouterr().err
 
 
+    def test_svg_write_failure_exit_code(self, tmp_path):
+        (tmp_path / "trajectory.svg").mkdir()
+        rc = main(["evolve", "--config", write_cfg(tmp_path, SUBSTRATE_CFG),
+                   "--out", str(tmp_path), "--quiet"])
+        assert rc == 5
+
+
+NON_FINITE = [
+    "NaN", "Infinity", "-Infinity", "1e999", pytest.param("1" + "0" * 400, id="1e400")
+]
+
+
+@pytest.mark.parametrize("literal", NON_FINITE)
+@pytest.mark.parametrize("command", ["evolve", "steady", "rates"])
+def test_non_finite_config_rejected(tmp_path, command, literal):
+    cfg = {
+        "qubit": {"model": "two_level"},
+        "environment": {"abstract_rates": {"gamma_l": "X", "gamma_g": 0.05}},
+        "evolution": {"t_max": 10.0, "n_steps": 20, "initial_state": "e"},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg).replace('"X"', literal))
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(path), "--out", str(out), "--quiet"])
+    assert rc == 2
+    assert not out.exists()
+
+
 class TestSteady:
     def test_two_level_abstract_rates(self, tmp_path):
         cfg = {

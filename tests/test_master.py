@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lindgain import (
     DegenerateKernelError,
     DomainError,
     DrudeParams,
+    NumericalInstabilityError,
     InteractionTensorPair,
     QubitSpec,
     RateMatrices,
@@ -173,6 +176,20 @@ class TestLiouvillianTwoLevel:
 
 
 class TestLiouvillianV:
+    @given(
+        st.floats(-30.0, 3.0),
+        st.floats(-30.0, 3.0),
+        st.floats(0.1, 10.0),
+    )
+    def test_two_level_is_one_channel_block(self, log_loss, log_gain, omega_a):
+        a, b = 10.0**log_loss, 10.0**log_gain
+        two = liouvillian_two_level(RatePair(a, b), omega_a).matrix
+        v = liouvillian_v(
+            RateMatrices(loss=np.diag([a, 0.0]), gain=np.diag([b, 0.0])), omega_a
+        ).matrix
+        block = [0, 1, 3, 4]  # gg, ge1, e1g, e1e1
+        np.testing.assert_array_equal(two, v[np.ix_(block, block)])
+
     def test_trace_preservation(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
@@ -231,6 +248,29 @@ class TestEvolve:
         for st in traj.states:
             assert abs(st.trace - 1.0) <= 1e-9
             assert st.min_eigenvalue >= -1e-9
+
+    def test_growing_trace_names_first_failing_step(self):
+        # d rho_ee / dt = c rho_gg with nothing lost: trace = 1 + c t, which
+        # crosses the 1e-9 tolerance between t = 0.4 (step 4) and t = 0.5
+        L = liouvillian_two_level(RatePair(0.0, 0.0), omega_a=1.0)
+        L.matrix[:] = 0.0
+        L.matrix[3, 0] = 2.2e-9
+        with pytest.raises(
+            NumericalInstabilityError, match=r"step 5 \(t = 0\.5\): trace"
+        ):
+            evolve(L, pure_state(0, 2), 1.0, 10)
+
+    def test_nan_generator_fails_first_step(self):
+        L = liouvillian_two_level(RatePair(0.1, 0.05))
+        L.matrix[0, 3] = np.nan
+        with pytest.raises(
+            NumericalInstabilityError, match=r"step 1 \(t = 0\.1\): .*non-finite"
+        ):
+            evolve(L, pure_state(1, 2), 1.0, 10)
+
+    def test_validate_rejects_nan_state(self):
+        with pytest.raises(NumericalInstabilityError):
+            DensityMatrix(np.full((2, 2), np.nan), TWO_LEVEL_LABELS).validate()
 
     def test_chiral_decay_of_e2(self):
         rm = RateMatrices(loss=np.diag([0.1, 0.175]), gain=np.diag([0.075, 0.0]))
