@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import sys
 from pathlib import Path
 
@@ -19,37 +20,6 @@ from .errors import LindgainError, ValidationError
 from .material import DrudeParams, ScalarPermittivitySplit
 
 PROG = "lindgain"
-
-
-def _require(cfg: dict, path: str):
-    """Fetch a dotted path from nested dicts, raising a config error naming
-    the missing field."""
-    node = cfg
-    for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
-            raise ValidationError(f"missing config field {path}")
-        node = node[part]
-    return node
-
-
-def _as_complex(value) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(value[0], value[1])
-    raise ValidationError(f"cannot parse complex value {value!r}")
-
-
-def _as_matrix2(value, path: str) -> np.ndarray:
-    if isinstance(value, (int, float)):
-        # scalar shorthand: all-equal linear-polarization Kossakowski matrix
-        return value * np.ones((2, 2), dtype=complex)
-    try:
-        return np.array(
-            [[_as_complex(v) for v in row] for row in value], dtype=complex
-        )
-    except (TypeError, ValidationError) as exc:
-        raise ValidationError(f"bad matrix at {path}: {exc}") from exc
 
 
 def _finite(text: str, kind=float):
@@ -79,96 +49,155 @@ def load_config(path: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# config fields: every value is read by _field and converted by a kind, a
+# function that returns the parsed value or raises ValidationError
+
+
+_REQUIRED = object()
+
+
+def _field(cfg: dict, path: str, kind, default=_REQUIRED):
+    """The value at a dotted path, converted by ``kind``.  Every parent on
+    the path must be an object.  ``default`` is returned as given when a key
+    on the path is absent; without one the field is required.  Each failure
+    raises ValidationError naming the path."""
+    parent, _, key = path.rpartition(".")
+    node = _field(cfg, parent, _object, default={}) if parent else cfg
+    if key not in node:
+        if default is _REQUIRED:
+            raise ValidationError(f"missing config field {path}")
+        return default
+    try:
+        return kind(node[key])
+    except ValidationError as exc:
+        raise ValidationError(f"config field {path}: {exc}") from exc
+
+
+def _kind(what: str, test, convert=lambda value: value):
+    """Kind of a value that passes ``test``, described as ``what``."""
+    def parse(value):
+        if not test(value):
+            raise ValidationError(f"expected {what}, got {value!r}")
+        return convert(value)
+    return parse
+
+
+def _is_number(value) -> bool:
+    # bool is an int subclass, but true is not a number
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _choice(names):
+    return _kind(f"one of {sorted(names)}", lambda v: isinstance(v, str) and v in names)
+
+
+_object = _kind("an object", lambda v: isinstance(v, dict))
+_string = _kind("a string", lambda v: isinstance(v, str))
+_boolean = _kind("true or false", lambda v: isinstance(v, bool))
+_real = _kind("a real number", _is_number, float)
+_integer = _kind("an integer", lambda v: _is_number(v) and v % 1 == 0, int)
+
+
+def _complex(value) -> complex:
+    """A real number or an [re, im] pair."""
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        return complex(_real(value[0]), _real(value[1]))
+    return complex(_real(value))
+
+
+def _complex_array(*shape: int):
+    """Kind of a nested list of complex numbers with the given shape."""
+    def nest(value, dims):
+        if not dims:
+            return _complex(value)
+        if not isinstance(value, (list, tuple)) or len(value) != dims[0]:
+            raise ValidationError(f"expected nested lists of shape {shape}, got {value!r}")
+        return [nest(v, dims[1:]) for v in value]
+    return lambda value: np.array(nest(value, shape), dtype=complex)
+
+
+def _rate_matrix(value) -> np.ndarray:
+    """A 2x2 Kossakowski matrix; a real number is shorthand for the
+    all-equal linear-polarization matrix."""
+    if isinstance(value, (list, tuple)):
+        return _complex_array(2, 2)(value)
+    return _real(value) * np.ones((2, 2), dtype=complex)
+
+
+ENVIRONMENTS = ("isotropic_substrate", "moving_slab", "abstract_rates")
+# the name of the one environment section an object holds
+_environment_type = _kind(
+    f"exactly one of {ENVIRONMENTS}",
+    lambda v: isinstance(v, dict) and sum(name in v for name in ENVIRONMENTS) == 1,
+    lambda v: next(name for name in ENVIRONMENTS if name in v),
+)
+
+
+# ---------------------------------------------------------------------------
 # model construction from config
 
 
+SLAB_TENSORS = {
+    "exact": greens.moving_slab_tensors_exact,
+    "asymptotic": greens.moving_slab_tensors_asymptotic,
+}
+
+
 def _build_qubit(cfg: dict) -> master.QubitSpec:
-    model = _require(cfg, "qubit.model")
-    if model not in (master.TWO_LEVEL, master.V_SHAPED):
-        raise ValidationError("qubit.model must be two_level or v_shaped")
-    dipole_cfg = cfg["qubit"].get("dipole", [1.0, 0.0, 0.0])
-    dipole = np.array([_as_complex(v) for v in dipole_cfg], dtype=complex)
-    omega_a = float(cfg["qubit"].get("omega_a", 1.0))
-    return master.QubitSpec(model=model, dipole=dipole, omega_a=omega_a)
-
-
-def _build_substrate(env: dict):
-    sub = env["isotropic_substrate"]
-    for key in ("eps_re", "eps_im", "eps_loss", "eps_gain", "z_a"):
-        if key not in sub:
-            raise ValidationError(
-                f"missing config field environment.isotropic_substrate.{key}"
-            )
-    split = ScalarPermittivitySplit(
-        eps=complex(sub["eps_re"], sub["eps_im"]),
-        eps_loss=float(sub["eps_loss"]),
-        eps_gain=float(sub["eps_gain"]),
+    # QubitSpec rejects an unknown model
+    return master.QubitSpec(
+        model=_field(cfg, "qubit.model", _string),
+        dipole=_field(cfg, "qubit.dipole", _complex_array(3), default=[1.0, 0.0, 0.0]),
+        omega_a=_field(cfg, "qubit.omega_a", _real, default=1.0),
     )
-    geom = greens.SubstrateGeometry(z_a=float(sub["z_a"]))
-    return split, geom
 
 
-def _build_tensor_pair(env: dict) -> greens.InteractionTensorPair:
-    if "isotropic_substrate" in env:
-        split, geom = _build_substrate(env)
-        return greens.isotropic_gain_tensors(split, geom)
-    if "moving_slab" in env:
-        slab = env["moving_slab"]
-        for key in ("omega_sp", "v", "z_a"):
-            if key not in slab:
-                raise ValidationError(
-                    f"missing config field environment.moving_slab.{key}"
-                )
-        params = greens.SlabMotionParams(
-            drude=DrudeParams(omega_sp=float(slab["omega_sp"])),
-            v=float(slab["v"]),
-            geometry=greens.SubstrateGeometry(z_a=float(slab["z_a"])),
-            g00=float(slab.get("g00", 0.0)),
-        )
-        mode = slab.get("mode", "exact")
-        if mode == "exact":
-            pair = greens.moving_slab_tensors_exact(params)
-        elif mode == "asymptotic":
-            pair = greens.moving_slab_tensors_asymptotic(params)
-        else:
-            raise ValidationError(
-                "environment.moving_slab.mode must be exact or asymptotic"
-            )
-        return greens.add_background_loss(pair, params.g00)
-    raise ValidationError("unknown environment section")
+def _occupation(cfg: dict) -> master.ThermalOccupation:
+    return master.ThermalOccupation(_field(cfg, "thermal.occupation", _real, default=0.0))
+
+
+def _build_substrate(cfg: dict):
+    sub = "environment.isotropic_substrate."
+    split = ScalarPermittivitySplit(
+        eps=complex(_field(cfg, sub + "eps_re", _real), _field(cfg, sub + "eps_im", _real)),
+        eps_loss=_field(cfg, sub + "eps_loss", _real),
+        eps_gain=_field(cfg, sub + "eps_gain", _real),
+    )
+    return split, greens.SubstrateGeometry(z_a=_field(cfg, sub + "z_a", _real))
+
+
+def _build_slab(cfg: dict) -> greens.InteractionTensorPair:
+    slab = "environment.moving_slab."
+    params = greens.SlabMotionParams(
+        drude=DrudeParams(omega_sp=_field(cfg, slab + "omega_sp", _real)),
+        v=_field(cfg, slab + "v", _real),
+        geometry=greens.SubstrateGeometry(z_a=_field(cfg, slab + "z_a", _real)),
+        g00=_field(cfg, slab + "g00", _real, default=0.0),
+    )
+    mode = _field(cfg, slab + "mode", _choice(SLAB_TENSORS), default="exact")
+    return greens.add_background_loss(SLAB_TENSORS[mode](params), params.g00)
 
 
 def build_rate_model(cfg: dict) -> dict:
     """Resolve the configured environment into thermalized rates plus
     provenance for the rates report."""
     qubit = _build_qubit(cfg)
-    env = _require(cfg, "environment")
-    occ = master.ThermalOccupation(
-        n=float(cfg.get("thermal", {}).get("occupation", 0.0))
-    )
+    env_type = _field(cfg, "environment", _environment_type)
+    occ = _occupation(cfg)
     out = {"qubit": qubit, "occupation": occ, "tensors": None, "thermal_tensors": None}
-    if "abstract_rates" in env:
+    out["environment"] = {"type": env_type}
+    if env_type == "abstract_rates":
+        kind = _real if qubit.model == master.TWO_LEVEL else _rate_matrix
+        loss, gain = (_field(cfg, f"environment.abstract_rates.gamma_{x}", kind) for x in "lg")
         if qubit.model == master.TWO_LEVEL:
-            base = master.RatePair(
-                gamma_loss=float(_require(env, "abstract_rates.gamma_l")),
-                gamma_gain=float(_require(env, "abstract_rates.gamma_g")),
-            )
-            out["rates"] = master.thermal_rate_pair(base, occ)
+            out["rates"] = master.thermal_rate_pair(master.RatePair(loss, gain), occ)
         else:
-            base = master.RateMatrices(
-                loss=_as_matrix2(
-                    _require(env, "abstract_rates.gamma_l"),
-                    "environment.abstract_rates.gamma_l",
-                ),
-                gain=_as_matrix2(
-                    _require(env, "abstract_rates.gamma_g"),
-                    "environment.abstract_rates.gamma_g",
-                ),
-            )
-            out["rates"] = master.thermal_rate_matrices(base, occ)
-        out["environment"] = {"type": "abstract_rates"}
+            out["rates"] = master.thermal_rate_matrices(master.RateMatrices(loss, gain), occ)
         return out
-    pair = _build_tensor_pair(env)
+    if env_type == "isotropic_substrate":
+        pair = greens.isotropic_gain_tensors(*_build_substrate(cfg))
+    else:
+        pair = _build_slab(cfg)
     pair_th = master.thermal_tensors(pair, occ)
     out["tensors"] = pair
     out["thermal_tensors"] = pair_th
@@ -176,8 +205,7 @@ def build_rate_model(cfg: dict) -> dict:
         out["rates"] = master.rates_two_level(qubit, pair_th)
     else:
         out["rates"] = master.rate_matrices_v(qubit, pair_th)
-    env_type = "isotropic_substrate" if "isotropic_substrate" in env else "moving_slab"
-    out["environment"] = {"type": env_type, **env[env_type]}
+    out["environment"].update(_field(cfg, f"environment.{env_type}", _object))
     return out
 
 
@@ -188,37 +216,19 @@ def build_liouvillian(model: dict) -> master.Liouvillian:
     return master.liouvillian_v(model["rates"], qubit.omega_a)
 
 
-_NAMED_STATES = {
-    master.TWO_LEVEL: {
-        "g": np.array([1.0, 0.0]),
-        "e": np.array([0.0, 1.0]),
-    },
-    master.V_SHAPED: {
-        "g": np.array([1.0, 0.0, 0.0]),
-        "e1": np.array([0.0, 1.0, 0.0]),
-        "e2": np.array([0.0, 0.0, 1.0]),
-        "bright": np.array([0.0, 1.0, 1.0]) / np.sqrt(2.0),
-        "dark": np.array([0.0, 1.0, -1.0]) / np.sqrt(2.0),
-    },
-}
-
-
 def parse_initial_state(value, model: str) -> master.DensityMatrix:
-    table = _NAMED_STATES[model]
-    labels = master.LABELS[len(table["g"])]
+    """A named state (a level label, or bright/dark for the V-shaped model)
+    or an explicit density matrix, symmetrized and normalized to unit trace."""
+    labels = master.LABELS[3 if model == master.V_SHAPED else 2]
+    basis = np.eye(len(labels))
+    named = dict(zip(labels, basis))
+    if model == master.V_SHAPED:
+        named["bright"] = (basis[1] + basis[2]) / np.sqrt(2.0)
+        named["dark"] = (basis[1] - basis[2]) / np.sqrt(2.0)
     if isinstance(value, str):
-        if value not in table:
-            raise ValidationError(
-                f"unknown initial_state {value!r}; expected one of "
-                f"{sorted(table)} or an explicit matrix"
-            )
-        psi = table[value].astype(complex)
+        psi = named[_choice(named)(value)].astype(complex)
         return master.DensityMatrix(np.outer(psi, psi.conj()), labels)
-    rho = np.array(
-        [[_as_complex(v) for v in row] for row in value], dtype=complex
-    )
-    if rho.shape != (len(labels),) * 2:
-        raise ValidationError("explicit initial_state has wrong dimension")
+    rho = _complex_array(len(labels), len(labels))(value)
     tr = np.trace(rho).real
     if abs(tr) < 1e-14:
         raise ValidationError("initial_state is not normalizable")
@@ -335,17 +345,17 @@ def _complex_matrix_json(m: np.ndarray) -> dict:
 def run_evolve(cfg: dict, out_dir: Path, quiet: bool = False) -> int:
     model = build_rate_model(cfg)
     qm = model["qubit"].model
-    ev = _require(cfg, "evolution")
-    rho0 = parse_initial_state(_require(cfg, "evolution.initial_state"), qm)
+    rho0 = _field(cfg, "evolution.initial_state", lambda v: parse_initial_state(v, qm))
     traj = master.evolve(
         build_liouvillian(model),
         rho0,
-        t_max=float(_require(cfg, "evolution.t_max")),
-        n_steps=int(_require(cfg, "evolution.n_steps")),
+        t_max=_field(cfg, "evolution.t_max", _real),
+        n_steps=_field(cfg, "evolution.n_steps", _integer),
     )
+    plot = _field(cfg, "output.plot", _boolean, default=True)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(out_dir / "trajectory.csv", traj)
-    if cfg.get("output", {}).get("plot", True):
+    if plot:
         _plot_trajectory(out_dir / "trajectory.svg", traj)
     if not quiet:
         print(f"wrote {out_dir / 'trajectory.csv'}")
@@ -356,8 +366,9 @@ def run_steady(cfg: dict, out_dir: Path, quiet: bool = False) -> int:
     model = build_rate_model(cfg)
     qm = model["qubit"].model
     L = build_liouvillian(model)
-    init_cfg = cfg.get("evolution", {}).get("initial_state")
-    rho0 = parse_initial_state(init_cfg, qm) if init_cfg is not None else None
+    rho0 = _field(
+        cfg, "evolution.initial_state", lambda v: parse_initial_state(v, qm), default=None
+    )
     state, kdim = master.steady_state_kernel(L, rho0)
     record = {
         "kernel_dim": kdim,
@@ -439,13 +450,10 @@ def run_spectrum(
         raise ValidationError("require 0 < omega_min <= omega_max")
     if n_points < 1:
         raise ValidationError("n_points must be >= 1")
-    env = _require(cfg, "environment")
-    if "isotropic_substrate" not in env:
-        raise ValidationError(
-            "spectrum requires environment.isotropic_substrate"
-        )
-    split, geom = _build_substrate(env)
-    n_omega = float(cfg.get("thermal", {}).get("occupation", 0.0))
+    if _field(cfg, "environment", _environment_type) != "isotropic_substrate":
+        raise ValidationError("spectrum requires environment.isotropic_substrate")
+    split, geom = _build_substrate(cfg)
+    n_omega = _occupation(cfg).n
     omegas = (
         np.linspace(omega_min, omega_max, n_points)
         if n_points > 1
@@ -543,17 +551,14 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("evolve", help="integrate a trajectory", parents=[common])
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", default=".")
-
-    p = sub.add_parser("steady", help="steady state via kernel analysis", parents=[common])
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", default=".")
-
-    p = sub.add_parser("rates", help="dump interaction tensors and rates", parents=[common])
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", default=".")
+    for name, text in (
+        ("evolve", "integrate a trajectory"),
+        ("steady", "steady state via kernel analysis"),
+        ("rates", "dump interaction tensors and rates"),
+    ):
+        p = sub.add_parser(name, help=text, parents=[common])
+        p.add_argument("--config", required=True)
+        p.add_argument("--out", default=".")
 
     p = sub.add_parser("spectrum", help="field spectral density sweep", parents=[common])
     p.add_argument("--config", required=True)
@@ -570,27 +575,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    out_dir, quiet = Path(args.out), args.quiet
+    commands = {
+        "evolve": lambda: run_evolve(load_config(args.config), out_dir, quiet=quiet),
+        "steady": lambda: run_steady(load_config(args.config), out_dir, quiet=quiet),
+        "rates": lambda: run_rates(load_config(args.config), out_dir, quiet=quiet),
+        "spectrum": lambda: run_spectrum(
+            load_config(args.config), args.omega_min, args.omega_max, args.n,
+            out_dir, quiet=quiet,
+        ),
+        "figure": lambda: run_figure(args.name, out_dir, quiet=quiet),
+    }
     try:
-        out_dir = Path(getattr(args, "out", "."))
-        if args.command == "figure":
-            return run_figure(args.name, out_dir, quiet=args.quiet)
-        cfg = load_config(args.config)
-        if args.command == "evolve":
-            return run_evolve(cfg, out_dir, quiet=args.quiet)
-        if args.command == "steady":
-            return run_steady(cfg, out_dir, quiet=args.quiet)
-        if args.command == "rates":
-            return run_rates(cfg, out_dir, quiet=args.quiet)
-        if args.command == "spectrum":
-            return run_spectrum(
-                cfg,
-                args.omega_min,
-                args.omega_max,
-                args.n,
-                out_dir,
-                quiet=args.quiet,
-            )
-        raise ValidationError(f"unknown command {args.command!r}")
+        return commands[args.command]()
     except LindgainError as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return exc.exit_code

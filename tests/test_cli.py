@@ -118,6 +118,74 @@ def test_non_finite_config_rejected(tmp_path, command, literal):
     assert not out.exists()
 
 
+def _with(cfg, path, value):
+    """A deep copy of cfg with the dotted path set to value."""
+    cfg = json.loads(json.dumps(cfg))
+    *parents, key = path.split(".")
+    node = cfg
+    for part in parents:
+        node = node.setdefault(part, {})
+    node[key] = value
+    return cfg
+
+
+SLAB = {"omega_sp": 2.0, "v": 0.2, "z_a": 0.3}
+CONFIG = ("evolve", "steady", "rates")
+EVOLUTION = ("evolve", "steady")
+
+# (commands, dotted path set in SUBSTRATE_CFG, value, path named in the error)
+WRONG_TYPED = [
+    (CONFIG, "thermal", 5, "thermal"),
+    (CONFIG, "thermal.occupation", "hot", "thermal.occupation"),
+    (CONFIG, "thermal.occupation", True, "thermal.occupation"),
+    (CONFIG, "environment.isotropic_substrate", 5, "environment.isotropic_substrate"),
+    (CONFIG, "environment.isotropic_substrate.z_a", "x",
+     "environment.isotropic_substrate.z_a"),
+    (CONFIG, "environment.isotropic_substrate.z_a", True,
+     "environment.isotropic_substrate.z_a"),
+    (CONFIG, "environment.isotropic_substrate.eps_re", "x",
+     "environment.isotropic_substrate.eps_re"),
+    (CONFIG, "environment", {"moving_slab": {**SLAB, "v": "fast"}},
+     "environment.moving_slab.v"),
+    (CONFIG, "environment", {"moving_slab": {**SLAB, "mode": 1}},
+     "environment.moving_slab.mode"),
+    (CONFIG, "environment.moving_slab", SLAB, "environment"),
+    (CONFIG, "environment", {}, "environment"),
+    (CONFIG, "qubit.dipole", 5, "qubit.dipole"),
+    (CONFIG, "qubit.dipole", [1.0, 0.0], "qubit.dipole"),
+    (CONFIG, "qubit.omega_a", "x", "qubit.omega_a"),
+    (CONFIG, "qubit.model", ["two_level"], "qubit.model"),
+    (("evolve",), "evolution.n_steps", "many", "evolution.n_steps"),
+    (("evolve",), "evolution.n_steps", 20.7, "evolution.n_steps"),
+    (("evolve",), "evolution.n_steps", True, "evolution.n_steps"),
+    (("evolve",), "evolution.t_max", [1], "evolution.t_max"),
+    (("evolve",), "evolution.t_max", None, "evolution.t_max"),
+    (("evolve",), "output", 3, "output"),
+    (("evolve",), "output.plot", "no", "output.plot"),
+    (EVOLUTION, "evolution", 3, "evolution"),
+    (EVOLUTION, "evolution.initial_state", 3, "evolution.initial_state"),
+    (EVOLUTION, "evolution.initial_state", "e1", "evolution.initial_state"),
+    (EVOLUTION, "evolution.initial_state", [[1, 0], [0]], "evolution.initial_state"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, path, value, shown",
+    [
+        pytest.param(command, path, value, shown, id=f"{command}-{path}={json.dumps(value)}")
+        for commands, path, value, shown in WRONG_TYPED
+        for command in commands
+    ],
+)
+def test_wrong_typed_config_rejected(tmp_path, capsys, command, path, value, shown):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, _with(SUBSTRATE_CFG, path, value))
+    rc = main([command, "--config", cfg, "--out", str(out), "--quiet"])
+    assert rc == 2
+    assert f"config field {shown}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestSteady:
     def test_two_level_abstract_rates(self, tmp_path):
         cfg = {
