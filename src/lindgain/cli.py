@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import correlations, greens, master
-from .errors import LindgainError, ValidationError
+from .errors import LindgainError, NumericalInstabilityError, ValidationError
 from .material import DrudeParams, ScalarPermittivitySplit
 
 PROG = "lindgain"
@@ -232,7 +232,11 @@ def parse_initial_state(value, model: str) -> master.DensityMatrix:
     tr = np.trace(rho).real
     if abs(tr) < 1e-14:
         raise ValidationError("initial_state is not normalizable")
-    return master.DensityMatrix(0.5 * (rho + rho.conj().T) / tr, labels)
+    try:
+        return master.DensityMatrix(0.5 * (rho + rho.conj().T) / tr, labels)
+    except NumericalInstabilityError as exc:
+        # a state that is not PSD is a config error
+        raise ValidationError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -377,17 +381,14 @@ def run_steady(cfg: dict, out_dir: Path, quiet: bool = False) -> int:
         "theta": None,
     }
     rates = model["rates"]
-    if qm == master.TWO_LEVEL:
-        closed = master.steady_two_level_closed(rates)
-        record["closed_form_match"] = bool(
-            np.max(np.abs(closed.rho - state.rho)) <= 1e-8
+    if kdim == 1:
+        closed = (
+            master.steady_two_level_closed(rates)
+            if qm == master.TWO_LEVEL
+            else master.steady_v_closed(rates)
         )
-    elif kdim == 1:
-        closed = master.steady_v_closed(rates)
-        record["closed_form_match"] = bool(
-            np.max(np.abs(closed.rho - state.rho)) <= 1e-8
-        )
-    else:
+        record["closed_form_match"] = bool(np.max(np.abs(closed.rho - state.rho)) <= 1e-8)
+    elif qm == master.V_SHAPED:
         # linear-polarization family: report the family parameter
         scalar = master.RatePair(
             gamma_loss=float(rates.loss[0, 0].real),

@@ -25,7 +25,7 @@ from .material import (
     require_hermitian,
 )
 
-PSD_TOL = 1e-12
+PSD_TOL = 1e-12  # relative to the norm of the tensor
 
 # qubit transition frequency in internal units
 OMEGA_A = 1.0
@@ -83,8 +83,7 @@ class InteractionTensorPair:
     def validate(self) -> "InteractionTensorPair":
         for name, t in (("loss", self.loss), ("gain", self.gain)):
             t = require_hermitian(t)
-            tol = PSD_TOL * max(abs(np.trace(t).real), 1.0)
-            if np.linalg.eigvalsh(t).min() < -tol:
+            if np.linalg.eigvalsh(t).min() < -PSD_TOL * np.linalg.norm(t):
                 raise DomainError(f"{name} tensor is not positive semidefinite")
         return self
 

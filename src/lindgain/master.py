@@ -97,9 +97,11 @@ class RateMatrices:
             m = np.asarray(getattr(self, name), dtype=complex)
             if m.shape != (2, 2):
                 raise ValidationError(f"{name} rate matrix must be 2x2")
-            require_hermitian(m, tol=1e-10 * max(np.linalg.norm(m), 1.0))
+            # tolerances relative to the matrix itself: rates span many decades
+            norm = np.linalg.norm(m)
+            require_hermitian(m, tol=1e-10 * norm)
             m = 0.5 * (m + m.conj().T)
-            if np.linalg.eigvalsh(m).min() < -1e-12 * max(np.trace(m).real, 1.0):
+            if np.linalg.eigvalsh(m).min() < -1e-12 * norm:
                 raise ValidationError(
                     f"{name} Kossakowski matrix is not PSD: complete positivity violated"
                 )
@@ -123,9 +125,43 @@ class Liouvillian:
         return float(np.linalg.norm(tr.conj() @ self.matrix))
 
 
+def _check_states(rho: np.ndarray, times: np.ndarray | None = None):
+    """Check that every state of an (n, d, d) stack is finite, Hermitian,
+    unit-trace and PSD, and return the per-state trace and smallest
+    eigenvalue.  The first failing state raises NumericalInstabilityError
+    for the first check it fails, naming its step when ``times`` is given."""
+    finite = np.isfinite(rho).all(axis=(1, 2))
+    # non-finite states are zeroed so that eigvalsh runs; `finite` fails them
+    safe = np.where(finite[:, None, None], rho, 0.0)
+    adj = safe.conj().transpose(0, 2, 1)
+    asym = np.abs(safe - adj).max(axis=(1, 2))
+    trace = np.trace(safe, axis1=1, axis2=2).real
+    min_eig = np.linalg.eigvalsh(0.5 * (safe + adj))[:, 0]
+    # written so that NaN fails every comparison
+    checks = (
+        finite,
+        asym <= HERMITICITY_TOL,
+        np.abs(trace - 1.0) <= TRACE_TOL,
+        min_eig >= -POSITIVITY_TOL,
+    )
+    ok = np.logical_and.reduce(checks)
+    if not ok.all():
+        step = int(np.argmin(ok))
+        message = (
+            "state has non-finite entries",
+            f"state is not Hermitian: max deviation {asym[step]:.3e}",
+            f"trace deviates from 1 by {abs(trace[step] - 1.0):.3e}",
+            f"negative eigenvalue {min_eig[step]:.3e}",
+        )[next(k for k, c in enumerate(checks) if not c[step])]
+        if times is not None:
+            message = f"invariant violated at step {step} (t = {times[step]:.6g}): {message}"
+        raise NumericalInstabilityError(message)
+    return trace, min_eig
+
+
 @dataclass
 class DensityMatrix:
-    """Hermitian, unit-trace, PSD state with named levels."""
+    """Hermitian, unit-trace, PSD state with named levels, checked when built."""
 
     rho: np.ndarray
     labels: tuple
@@ -134,6 +170,7 @@ class DensityMatrix:
         self.rho = np.asarray(self.rho, dtype=complex)
         if self.rho.shape != (len(self.labels),) * 2:
             raise ValidationError("state shape does not match labels")
+        _check_states(self.rho[None])
 
     @property
     def trace(self) -> float:
@@ -144,22 +181,9 @@ class DensityMatrix:
         return float(np.linalg.eigvalsh(0.5 * (self.rho + self.rho.conj().T)).min())
 
     def validate(self) -> "DensityMatrix":
-        if not np.isfinite(self.rho).all():
-            raise NumericalInstabilityError("state has non-finite entries")
-        require_hermitian(self.rho, tol=HERMITICITY_TOL)
-        if abs(self.trace - 1.0) > TRACE_TOL:
-            raise NumericalInstabilityError(
-                f"trace deviates from 1 by {abs(self.trace - 1.0):.3e}"
-            )
-        if self.min_eigenvalue < -POSITIVITY_TOL:
-            raise NumericalInstabilityError(
-                f"negative eigenvalue {self.min_eigenvalue:.3e}"
-            )
+        """Re-check the state, e.g. after ``rho`` was changed in place."""
+        _check_states(self.rho[None])
         return self
-
-    def population(self, label: str) -> float:
-        i = self.labels.index(label)
-        return float(self.rho[i, i].real)
 
 
 @dataclass
@@ -301,7 +325,6 @@ def evolve(
         raise DomainError("t_max must be > 0")
     if n_steps < 2:
         raise DomainError("n_steps must be >= 2")
-    rho0.validate()
     dim = L.dim
     if rho0.rho.shape != (dim, dim):
         raise ValidationError("initial state dimension does not match generator")
@@ -313,30 +336,7 @@ def evolve(
     for step in range(1, n_steps + 1):
         vecs[step] = prop @ vecs[step - 1]
     rho = vecs.reshape(-1, dim, dim)
-    finite = np.isfinite(vecs).all(axis=1)
-    # non-finite states are zeroed so that eigvalsh runs; `finite` fails them
-    safe = np.where(finite[:, None, None], rho, 0.0)
-    adj = safe.conj().transpose(0, 2, 1)
-    trace = np.trace(safe, axis1=1, axis2=2).real
-    min_eig = np.linalg.eigvalsh(0.5 * (safe + adj))[:, 0]
-    # written so that NaN fails every comparison
-    ok = (
-        finite
-        & (np.abs(safe - adj).max(axis=(1, 2)) <= HERMITICITY_TOL)
-        & (np.abs(trace - 1.0) <= TRACE_TOL)
-        & (min_eig >= -POSITIVITY_TOL)
-    )
-    traj = Trajectory(times, rho, LABELS[dim], trace, min_eig)
-    if not ok.all():
-        # the first failing state raises the same error as a per-step check
-        step = int(np.argmin(ok))
-        try:
-            DensityMatrix(rho[step], traj.labels).validate()
-        except NumericalInstabilityError as exc:
-            raise NumericalInstabilityError(
-                f"invariant violated at step {step} (t = {times[step]:.6g}): {exc}"
-            ) from exc
-    return traj
+    return Trajectory(times, rho, LABELS[dim], *_check_states(rho, times))
 
 
 def steady_state_kernel(
@@ -365,7 +365,6 @@ def steady_state_kernel(
                 f"kernel dimension {kdim}: an initial state is required to "
                 "select the steady state"
             )
-        rho0.validate()
         r = vr[:, idx]
         lmat = vl[:, idx]
         overlap = lmat.conj().T @ r
@@ -375,9 +374,7 @@ def steady_state_kernel(
     tr = np.trace(rho).real
     if abs(tr) < 1e-14:
         raise SpectralToleranceError("kernel state has vanishing trace")
-    state = DensityMatrix(rho / tr, LABELS[dim])
-    state.validate()
-    return state, kdim
+    return DensityMatrix(rho / tr, LABELS[dim]), kdim
 
 
 def steady_two_level_closed(rates: RatePair) -> DensityMatrix:

@@ -166,6 +166,7 @@ WRONG_TYPED = [
     (EVOLUTION, "evolution.initial_state", 3, "evolution.initial_state"),
     (EVOLUTION, "evolution.initial_state", "e1", "evolution.initial_state"),
     (EVOLUTION, "evolution.initial_state", [[1, 0], [0]], "evolution.initial_state"),
+    (EVOLUTION, "evolution.initial_state", [[1, 2], [2, 0]], "evolution.initial_state"),
 ]
 
 
@@ -221,6 +222,30 @@ class TestSteady:
         rc = main(["steady", "--config", write_cfg(tmp_path, cfg), "--out",
                    str(tmp_path), "--quiet"])
         assert rc == 3
+
+    @pytest.mark.parametrize(
+        "environment",
+        [
+            {"abstract_rates": {"gamma_l": 0.0, "gamma_g": 0.0}},
+            {"isotropic_substrate": {"eps_re": -3.0, "eps_im": 0.0, "eps_loss": 0.0,
+                                     "eps_gain": 0.0, "z_a": 1.0}},
+        ],
+        ids=["abstract_rates", "lossless_substrate"],
+    )
+    def test_two_level_zero_rates(self, tmp_path, environment):
+        cfg = {
+            "qubit": {"model": "two_level"},
+            "environment": environment,
+            "evolution": {"initial_state": "e"},
+        }
+        rc = main(["steady", "--config", write_cfg(tmp_path, cfg), "--out",
+                   str(tmp_path), "--quiet"])
+        assert rc == 0
+        record = json.loads((tmp_path / "steady.json").read_text())
+        assert record["kernel_dim"] == 2
+        rho = np.array(record["rho"]["real"]) + 1j * np.array(record["rho"]["imag"])
+        np.testing.assert_allclose(rho, np.diag([0.0, 1.0]), atol=1e-12)
+        assert record["closed_form_match"] is None
 
 
 class TestRatesAndSpectrum:

@@ -214,6 +214,29 @@ class TestLiouvillianV:
             RateMatrices(loss=np.diag([1.0, -0.1]), gain=np.zeros((2, 2)))
 
 
+class TestCompletePositivityScale:
+    """The PSD tolerances are relative to the matrix, so complete positivity
+    is checked alike at every rate scale."""
+
+    PSD = np.array([[1.0, 1j], [-1j, 1.0]])  # eigenvalues 0 and 2
+    NOT_PSD = np.array([[1.0, 10.0], [10.0, 1.0]])  # eigenvalues -9 and 11
+
+    @given(st.floats(-30.0, 3.0))
+    def test_rate_matrices(self, log_scale):
+        s = 10.0**log_scale
+        RateMatrices(loss=s * self.PSD, gain=s * self.PSD)
+        with pytest.raises(ValidationError, match="not PSD"):
+            RateMatrices(loss=s * self.NOT_PSD, gain=np.zeros((2, 2)))
+
+    @given(st.floats(-30.0, 3.0))
+    def test_interaction_tensors(self, log_scale):
+        s = 10.0**log_scale
+        psd, not_psd = (np.pad(s * m, ((0, 1), (0, 1))) for m in (self.PSD, self.NOT_PSD))
+        InteractionTensorPair(loss=psd, gain=psd).validate()
+        with pytest.raises(DomainError, match="not positive semidefinite"):
+            InteractionTensorPair(loss=not_psd, gain=psd).validate()
+
+
 class TestEvolve:
     def test_zero_generator_constant(self):
         L = liouvillian_two_level(RatePair(0.0, 0.0), omega_a=1.0)
@@ -268,9 +291,21 @@ class TestEvolve:
         ):
             evolve(L, pure_state(1, 2), 1.0, 10)
 
+    def test_non_hermitian_state_names_step(self):
+        L = liouvillian_two_level(RatePair(0.1, 0.05))
+        L.matrix[1, 0] += 0.3  # feeds rho_ge from rho_gg, but not rho_eg
+        with pytest.raises(
+            NumericalInstabilityError, match=r"step 1 \(t = 0\.5\): .*not Hermitian"
+        ):
+            evolve(L, pure_state(0, 2), 1.0, 2)
+
     def test_validate_rejects_nan_state(self):
         with pytest.raises(NumericalInstabilityError):
             DensityMatrix(np.full((2, 2), np.nan), TWO_LEVEL_LABELS).validate()
+
+    def test_state_checked_when_built(self):
+        with pytest.raises(NumericalInstabilityError, match="negative eigenvalue"):
+            DensityMatrix(np.array([[1.0, 2.0], [2.0, 0.0]]), TWO_LEVEL_LABELS)
 
     def test_chiral_decay_of_e2(self):
         rm = RateMatrices(loss=np.diag([0.1, 0.175]), gain=np.diag([0.075, 0.0]))
@@ -402,6 +437,10 @@ class TestLinearFamily:
         st = steady_linear_family(1.2, self.RATES)
         assert not st.physical
         assert np.linalg.eigvalsh(st.rho).min() < 0
+
+    def test_nonphysical_member_is_not_a_density_matrix(self):
+        with pytest.raises(NumericalInstabilityError, match="negative eigenvalue"):
+            steady_linear_family(1.2, self.RATES).as_density_matrix()
 
     def test_out_of_range(self):
         with pytest.raises(DomainError):
