@@ -366,6 +366,21 @@ def run_evolve(cfg: dict, out_dir: Path, quiet: bool = False) -> int:
     return 0
 
 
+def _linear_family_rates(rates: master.RateMatrices) -> master.RatePair | None:
+    """The scalar rates of the linear-polarization family, or None when the V
+    rates are not in it: each rate matrix must be a real scalar times the
+    all-ones matrix (relative to its own norm), and the loss scalar > 0."""
+    scalars = []
+    for m in (rates.loss, rates.gain):
+        a = float(m[0, 0].real)
+        if np.linalg.norm(m - a) > 1e-10 * np.linalg.norm(m):
+            return None
+        scalars.append(a)
+    if scalars[0] <= 0:
+        return None
+    return master.RatePair(gamma_loss=scalars[0], gamma_gain=scalars[1])
+
+
 def run_steady(cfg: dict, out_dir: Path, quiet: bool = False) -> int:
     model = build_rate_model(cfg)
     qm = model["qubit"].model
@@ -388,12 +403,8 @@ def run_steady(cfg: dict, out_dir: Path, quiet: bool = False) -> int:
             else master.steady_v_closed(rates)
         )
         record["closed_form_match"] = bool(np.max(np.abs(closed.rho - state.rho)) <= 1e-8)
-    elif qm == master.V_SHAPED:
+    elif qm == master.V_SHAPED and (scalar := _linear_family_rates(rates)) is not None:
         # linear-polarization family: report the family parameter
-        scalar = master.RatePair(
-            gamma_loss=float(rates.loss[0, 0].real),
-            gamma_gain=float(rates.gain[0, 0].real),
-        )
         theta, residual = master.fit_linear_family_theta(state, scalar)
         record["theta"] = theta
         record["closed_form_match"] = bool(residual <= 1e-8)
@@ -447,6 +458,8 @@ def run_spectrum(
     """Field spectrum on an omega grid.  The permittivity split is fixed by
     the config, so the spectrum is the same at every omega: it is evaluated
     once and repeated on each row."""
+    if not (np.isfinite(omega_min) and np.isfinite(omega_max)):
+        raise ValidationError("omega_min and omega_max must be finite")
     if not (0 < omega_min <= omega_max):
         raise ValidationError("require 0 < omega_min <= omega_max")
     if n_points < 1:

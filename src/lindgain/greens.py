@@ -13,8 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
-from scipy.integrate import IntegrationWarning, quad
 
 from .errors import DomainError, OracleError, OutOfValidityError, SingularityError
 from .material import (
@@ -114,6 +112,8 @@ def bessel_k(n: int, x: float) -> float:
         raise DomainError("order n must be 0, 1 or 2")
     if x <= 0:
         raise DomainError("bessel_k requires x > 0")
+    from scipy import special
+
     return float(special.kn(n, x))
 
 
@@ -159,6 +159,8 @@ def _slab_channel_quadrature(k: float, p: SlabMotionParams) -> np.ndarray:
     The integrand is scaled by exp(+2|k|z_a) so the quadrature works in
     relative terms even for strongly evanescent channels.
     """
+    from scipy.integrate import IntegrationWarning, quad
+
     z = p.geometry.z_a
     kx = k
     akx = abs(kx)

@@ -247,6 +247,30 @@ class TestSteady:
         np.testing.assert_allclose(rho, np.diag([0.0, 1.0]), atol=1e-12)
         assert record["closed_form_match"] is None
 
+    @pytest.mark.parametrize(
+        "gamma_l, gamma_g, initial_state",
+        [
+            ([[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]], "e1"),
+            ([[1e-11, 0.0], [0.0, 2e-11]], [[5e-12, 0.0], [0.0, 0.0]], "e2"),
+        ],
+        ids=["zero_rates", "weak_circular"],
+    )
+    def test_v_degenerate_outside_linear_family(
+        self, tmp_path, gamma_l, gamma_g, initial_state
+    ):
+        cfg = {
+            "qubit": {"model": "v_shaped"},
+            "environment": {"abstract_rates": {"gamma_l": gamma_l, "gamma_g": gamma_g}},
+            "evolution": {"initial_state": initial_state},
+        }
+        rc = main(["steady", "--config", write_cfg(tmp_path, cfg), "--out",
+                   str(tmp_path), "--quiet"])
+        assert rc == 0
+        record = json.loads((tmp_path / "steady.json").read_text())
+        assert record["kernel_dim"] > 1
+        assert record["theta"] is None
+        assert record["closed_form_match"] is None
+
 
 class TestRatesAndSpectrum:
     def test_rates_reproduces_substrate_tensors(self, tmp_path):
@@ -268,6 +292,18 @@ class TestRatesAndSpectrum:
         assert rc == 0
         lines = (tmp_path / "spectrum.csv").read_text().strip().split("\n")
         assert len(lines) == 2  # header plus one data row
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("flag", ["--omega-min", "--omega-max"])
+    def test_spectrum_non_finite_bound_rejected(self, tmp_path, capsys, flag, value):
+        bounds = {"--omega-min": "0.5", "--omega-max": "1.5", flag: value}
+        out = tmp_path / "out"
+        rc = main(["spectrum", "--config", write_cfg(tmp_path, SUBSTRATE_CFG),
+                   *(f"{k}={v}" for k, v in bounds.items()), "--n", "3",
+                   "--out", str(out), "--quiet"])
+        assert rc == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_spectrum_passive_form(self, tmp_path):
         cfg = json.loads(json.dumps(SUBSTRATE_CFG))
