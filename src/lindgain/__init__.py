@@ -37,8 +37,10 @@ from .master import (
     V_SHAPED,
     evolve,
     fit_linear_family_theta,
+    liouvillian,
     liouvillian_two_level,
     liouvillian_v,
+    rate_matrices,
     rate_matrices_v,
     rates_two_level,
     steady_linear_family,

@@ -116,12 +116,15 @@ def _complex_array(*shape: int):
     return lambda value: np.array(nest(value, shape), dtype=complex)
 
 
-def _rate_matrix(value) -> np.ndarray:
-    """A 2x2 Kossakowski matrix; a real number is shorthand for the
-    all-equal linear-polarization matrix."""
-    if isinstance(value, (list, tuple)):
-        return _complex_array(2, 2)(value)
-    return _real(value) * np.ones((2, 2), dtype=complex)
+def _rate_matrix(m: int):
+    """Kind of an (m, m) Kossakowski matrix.  A real number is the only form
+    for m = 1; for m = 2 it is shorthand for the all-equal linear-polarization
+    matrix, and a 2x2 complex matrix is accepted too."""
+    def parse(value) -> np.ndarray:
+        if m == 2 and isinstance(value, (list, tuple)):
+            return _complex_array(2, 2)(value)
+        return _real(value) * np.ones((m, m), dtype=complex)
+    return parse
 
 
 ENVIRONMENTS = ("isotropic_substrate", "moving_slab", "abstract_rates")
@@ -135,12 +138,6 @@ _environment_type = _kind(
 
 # ---------------------------------------------------------------------------
 # model construction from config
-
-
-SLAB_TENSORS = {
-    "exact": greens.moving_slab_tensors_exact,
-    "asymptotic": greens.moving_slab_tensors_asymptotic,
-}
 
 
 def _build_qubit(cfg: dict) -> master.QubitSpec:
@@ -174,8 +171,9 @@ def _build_slab(cfg: dict) -> greens.InteractionTensorPair:
         geometry=greens.SubstrateGeometry(z_a=_field(cfg, slab + "z_a", _real)),
         g00=_field(cfg, slab + "g00", _real, default=0.0),
     )
-    mode = _field(cfg, slab + "mode", _choice(SLAB_TENSORS), default="exact")
-    return greens.add_background_loss(SLAB_TENSORS[mode](params), params.g00)
+    mode = _field(cfg, slab + "mode", _choice({"exact", "asymptotic"}), default="exact")
+    tensors = getattr(greens, f"moving_slab_tensors_{mode}")
+    return greens.add_background_loss(tensors(params), params.g00)
 
 
 def build_rate_model(cfg: dict) -> dict:
@@ -187,12 +185,9 @@ def build_rate_model(cfg: dict) -> dict:
     out = {"qubit": qubit, "occupation": occ, "tensors": None, "thermal_tensors": None}
     out["environment"] = {"type": env_type}
     if env_type == "abstract_rates":
-        kind = _real if qubit.model == master.TWO_LEVEL else _rate_matrix
+        kind = _rate_matrix(len(qubit.dipoles))
         loss, gain = (_field(cfg, f"environment.abstract_rates.gamma_{x}", kind) for x in "lg")
-        if qubit.model == master.TWO_LEVEL:
-            out["rates"] = master.thermal_rate_pair(master.RatePair(loss, gain), occ)
-        else:
-            out["rates"] = master.thermal_rate_matrices(master.RateMatrices(loss, gain), occ)
+        out["rates"] = master.thermal_rate_matrices(master.RateMatrices(loss, gain), occ)
         return out
     if env_type == "isotropic_substrate":
         pair = greens.isotropic_gain_tensors(*_build_substrate(cfg))
@@ -201,19 +196,9 @@ def build_rate_model(cfg: dict) -> dict:
     pair_th = master.thermal_tensors(pair, occ)
     out["tensors"] = pair
     out["thermal_tensors"] = pair_th
-    if qubit.model == master.TWO_LEVEL:
-        out["rates"] = master.rates_two_level(qubit, pair_th)
-    else:
-        out["rates"] = master.rate_matrices_v(qubit, pair_th)
+    out["rates"] = master.rate_matrices(qubit, pair_th)
     out["environment"].update(_field(cfg, f"environment.{env_type}", _object))
     return out
-
-
-def build_liouvillian(model: dict) -> master.Liouvillian:
-    qubit = model["qubit"]
-    if qubit.model == master.TWO_LEVEL:
-        return master.liouvillian_two_level(model["rates"], qubit.omega_a)
-    return master.liouvillian_v(model["rates"], qubit.omega_a)
 
 
 def parse_initial_state(value, model: str) -> master.DensityMatrix:
@@ -351,7 +336,7 @@ def run_evolve(cfg: dict, out_dir: Path, quiet: bool = False) -> int:
     qm = model["qubit"].model
     rho0 = _field(cfg, "evolution.initial_state", lambda v: parse_initial_state(v, qm))
     traj = master.evolve(
-        build_liouvillian(model),
+        master.liouvillian(model["rates"], model["qubit"].omega_a),
         rho0,
         t_max=_field(cfg, "evolution.t_max", _real),
         n_steps=_field(cfg, "evolution.n_steps", _integer),
@@ -383,8 +368,8 @@ def _linear_family_rates(rates: master.RateMatrices) -> master.RatePair | None:
 
 def run_steady(cfg: dict, out_dir: Path, quiet: bool = False) -> int:
     model = build_rate_model(cfg)
-    qm = model["qubit"].model
-    L = build_liouvillian(model)
+    rates, qm = model["rates"], model["qubit"].model
+    L = master.liouvillian(rates, model["qubit"].omega_a)
     rho0 = _field(
         cfg, "evolution.initial_state", lambda v: parse_initial_state(v, qm), default=None
     )
@@ -395,15 +380,10 @@ def run_steady(cfg: dict, out_dir: Path, quiet: bool = False) -> int:
         "closed_form_match": None,
         "theta": None,
     }
-    rates = model["rates"]
     if kdim == 1:
-        closed = (
-            master.steady_two_level_closed(rates)
-            if qm == master.TWO_LEVEL
-            else master.steady_v_closed(rates)
-        )
+        closed = {1: master.steady_two_level_closed, 2: master.steady_v_closed}[rates.m](rates)
         record["closed_form_match"] = bool(np.max(np.abs(closed.rho - state.rho)) <= 1e-8)
-    elif qm == master.V_SHAPED and (scalar := _linear_family_rates(rates)) is not None:
+    elif rates.m == 2 and (scalar := _linear_family_rates(rates)) is not None:
         # linear-polarization family: report the family parameter
         theta, residual = master.fit_linear_family_theta(state, scalar)
         record["theta"] = theta
@@ -433,12 +413,11 @@ def run_rates(cfg: dict, out_dir: Path, quiet: bool = False) -> int:
             model["thermal_tensors"].gain
         )
     rates = model["rates"]
-    if isinstance(rates, master.RatePair):
-        record["gamma_loss"] = rates.gamma_loss
-        record["gamma_gain"] = rates.gamma_gain
-    else:
-        record["gamma_loss_matrix"] = _complex_matrix_json(rates.loss)
-        record["gamma_gain_matrix"] = _complex_matrix_json(rates.gain)
+    for key, m in (("gamma_loss", rates.loss), ("gamma_gain", rates.gain)):
+        if rates.m == 1:
+            record[key] = float(m[0, 0].real)
+        else:
+            record[f"{key}_matrix"] = _complex_matrix_json(m)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "rates.json"
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")

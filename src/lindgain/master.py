@@ -22,7 +22,6 @@ from .errors import (
     ValidationError,
 )
 from .greens import InteractionTensorPair
-from .material import require_hermitian
 
 TWO_LEVEL = "two_level"
 V_SHAPED = "v_shaped"
@@ -59,6 +58,12 @@ class QubitSpec:
         if self.omega_a <= 0:
             raise DomainError("omega_a must be > 0")
 
+    @property
+    def dipoles(self) -> list[np.ndarray]:
+        """Transition dipoles of the m excited levels: [d] for the two-level
+        qubit (m = 1), [d, d^*] for the V-shaped one (m = 2)."""
+        return [self.dipole] if self.model == TWO_LEVEL else [self.dipole, self.dipole.conj()]
+
 
 @dataclass(frozen=True)
 class ThermalOccupation:
@@ -72,40 +77,55 @@ class ThermalOccupation:
 
 
 @dataclass(frozen=True)
-class RatePair:
-    """Scalar loss/gain rate constants of the two-level system (units of
-    the transition frequency)."""
-
-    gamma_loss: float
-    gamma_gain: float
-
-    def __post_init__(self):
-        if self.gamma_loss < 0 or self.gamma_gain < 0:
-            raise DomainError("rates must be >= 0")
-
-
-@dataclass(frozen=True)
 class RateMatrices:
-    """2x2 Kossakowski matrices of the V-shaped system; PSD is the complete
-    positivity condition."""
+    """(m, m) Kossakowski matrices of a qubit with m = 1 or 2 excited levels;
+    PSD is the complete positivity condition."""
 
     loss: np.ndarray
     gain: np.ndarray
 
     def __post_init__(self):
-        for name in ("loss", "gain"):
-            m = np.asarray(getattr(self, name), dtype=complex)
-            if m.shape != (2, 2):
-                raise ValidationError(f"{name} rate matrix must be 2x2")
-            # tolerances relative to the matrix itself: rates span many decades
-            norm = np.linalg.norm(m)
-            require_hermitian(m, tol=1e-10 * norm)
-            m = 0.5 * (m + m.conj().T)
-            if np.linalg.eigvalsh(m).min() < -1e-12 * norm:
+        shape = np.shape(self.loss)
+        if shape not in ((1, 1), (2, 2)) or np.shape(self.gain) != shape:
+            raise ValidationError("rate matrices must both be 1x1 or both 2x2")
+        # one stack, each matrix relative to its own norm: rates span many decades
+        mats = np.array([self.loss, self.gain], dtype=complex)
+        adj = mats.conj().transpose(0, 2, 1)
+        norm = np.linalg.norm(mats, axis=(1, 2))
+        asym = np.abs(mats - adj).max(axis=(1, 2))
+        mats = 0.5 * (mats + adj)
+        min_eig = np.linalg.eigvalsh(mats)[:, 0]
+        for k, name in enumerate(("loss", "gain")):
+            if asym[k] > 1e-10 * norm[k]:
+                raise ValidationError(
+                    f"{name} rate matrix is not Hermitian: max deviation {asym[k]:.3e}"
+                )
+            if min_eig[k] < -1e-12 * norm[k]:
                 raise ValidationError(
                     f"{name} Kossakowski matrix is not PSD: complete positivity violated"
                 )
-            object.__setattr__(self, name, m)
+            object.__setattr__(self, name, mats[k])
+
+    @property
+    def m(self) -> int:
+        """Number of excited levels."""
+        return len(self.loss)
+
+
+class RatePair(RateMatrices):
+    """Scalar loss/gain rate constants of the two-level system (units of
+    the transition frequency): the 1x1 case of :class:`RateMatrices`."""
+
+    def __init__(self, gamma_loss: float, gamma_gain: float):
+        super().__init__([[gamma_loss]], [[gamma_gain]])
+
+    @property
+    def gamma_loss(self) -> float:
+        return float(self.loss[0, 0].real)
+
+    @property
+    def gamma_gain(self) -> float:
+        return float(self.gain[0, 0].real)
 
 
 @dataclass
@@ -227,33 +247,32 @@ def thermal_rate_matrices(rates: RateMatrices, occ: ThermalOccupation) -> RateMa
     return RateMatrices(*_mix(rates.loss, rates.gain, occ))
 
 
-def _kossakowski(gammas: list, tensor: np.ndarray) -> np.ndarray:
-    """Kossakowski matrix Gamma_ij = 2 gamma_i^* . tensor . gamma_j."""
-    return np.array(
-        [[2.0 * (gi.conj() @ tensor @ gj) for gj in gammas] for gi in gammas]
+def rate_matrices(q: QubitSpec, pair_th: InteractionTensorPair) -> RateMatrices:
+    """Kossakowski matrices Gamma_{a,ij} = 2 gamma_i^* . G_th . gamma_j over
+    the transition dipoles gamma_i of the qubit, (m, m) for m excited levels."""
+    g = q.dipoles
+    loss, gain = (
+        np.array([[2.0 * (gi.conj() @ t @ gj) for gj in g] for gi in g])
+        for t in (pair_th.loss, pair_th.gain)
     )
+    return RateMatrices(loss, gain)
+
+
+def _of_model(q: QubitSpec, model: str) -> QubitSpec:
+    if q.model != model:
+        raise ValidationError(f"requires a {model} qubit, got {q.model}")
+    return q
 
 
 def rates_two_level(q: QubitSpec, pair_th: InteractionTensorPair) -> RatePair:
     """Rate constants 2 gamma_e^* . G_th . gamma_e for both channels."""
-    if q.model != TWO_LEVEL:
-        raise ValidationError("rates_two_level requires a two-level qubit")
-    loss, gain = (
-        float(_kossakowski([q.dipole], t)[0, 0].real)
-        for t in (pair_th.loss, pair_th.gain)
-    )
-    return RatePair(gamma_loss=loss, gamma_gain=gain)
+    rates = rate_matrices(_of_model(q, TWO_LEVEL), pair_th)
+    return RatePair(rates.loss[0, 0].real, rates.gain[0, 0].real)
 
 
 def rate_matrices_v(q: QubitSpec, pair_th: InteractionTensorPair) -> RateMatrices:
-    """Kossakowski matrices Gamma_{a,ij} = 2 gamma_i^* . G_th . gamma_j with
-    gamma_1 = gamma_e and gamma_2 = gamma_e^*."""
-    if q.model != V_SHAPED:
-        raise ValidationError("rate_matrices_v requires a V-shaped qubit")
-    gammas = [q.dipole, q.dipole.conj()]
-    return RateMatrices(
-        _kossakowski(gammas, pair_th.loss), _kossakowski(gammas, pair_th.gain)
-    )
+    """Kossakowski matrices with gamma_1 = gamma_e and gamma_2 = gamma_e^*."""
+    return rate_matrices(_of_model(q, V_SHAPED), pair_th)
 
 
 def _sandwich(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -291,29 +310,28 @@ def _superoperators(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ham, loss, gain
 
 
-def _liouvillian(loss: np.ndarray, gain: np.ndarray, omega_a: float) -> Liouvillian:
+def liouvillian(rates: RateMatrices, omega_a: float = 1.0) -> Liouvillian:
     """Generator -i omega_a [E, .] + sum_ij loss_ij D[s_j, s_i^+]
-    + gain_ij D[s_i^+, s_j] of the qubit with m = len(loss) excited levels."""
-    m = len(loss)
-    ham, d_loss, d_gain = _superoperators(m)
+    + gain_ij D[s_i^+, s_j] of the qubit with m = rates.m excited levels."""
+    ham, d_loss, d_gain = _superoperators(rates.m)
     mat = -1j * (omega_a * ham)
-    for i in range(m):
-        for j in range(m):
-            mat += loss[i][j] * d_loss[i, j]
-            mat += gain[i][j] * d_gain[i, j]
+    for i in range(rates.m):
+        for j in range(rates.m):
+            mat += rates.loss[i, j] * d_loss[i, j]
+            mat += rates.gain[i, j] * d_gain[i, j]
     return Liouvillian(matrix=mat, omega_a=omega_a)
 
 
 def liouvillian_two_level(rates: RatePair, omega_a: float = 1.0) -> Liouvillian:
     """4x4 generator in the (gg, ge, eg, ee) basis, including the coherence
     phase terms at +-i omega_a."""
-    return _liouvillian([[rates.gamma_loss]], [[rates.gamma_gain]], omega_a)
+    return liouvillian(rates, omega_a)
 
 
 def liouvillian_v(rates: RateMatrices, omega_a: float = 1.0) -> Liouvillian:
     """9x9 generator over (g, e1, e2) row-major, with the loss Kossakowski
     matrix on the lowering terms and the gain matrix on the raising terms."""
-    return _liouvillian(rates.loss, rates.gain, omega_a)
+    return liouvillian(rates, omega_a)
 
 
 def evolve(
@@ -377,12 +395,13 @@ def steady_state_kernel(
     return DensityMatrix(rho / tr, LABELS[dim]), kdim
 
 
-def steady_two_level_closed(rates: RatePair) -> DensityMatrix:
-    """Closed-form mixed steady state diag(G_L, G_G) / (G_L + G_G)."""
-    tot = rates.gamma_loss + rates.gamma_gain
+def steady_two_level_closed(rates: RateMatrices) -> DensityMatrix:
+    """Closed-form mixed steady state diag(G_L, G_G) / (G_L + G_G), 1x1 rates."""
+    gl, gg = rates.loss[0, 0].real, rates.gain[0, 0].real
+    tot = gl + gg
     if tot <= 0:
         raise DomainError("both rates zero: steady state degenerate")
-    rho = np.diag([rates.gamma_loss / tot, rates.gamma_gain / tot]).astype(complex)
+    rho = np.diag([gl / tot, gg / tot]).astype(complex)
     return DensityMatrix(rho, TWO_LEVEL_LABELS)
 
 

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from lindgain.cli import main
+from lindgain import greens
+from lindgain.cli import build_rate_model, main
 
 SUBSTRATE_CFG = {
     "qubit": {"model": "two_level", "dipole": [1.0, 0.0, 0.0]},
@@ -151,6 +152,8 @@ WRONG_TYPED = [
      "environment.moving_slab.mode"),
     (CONFIG, "environment.moving_slab", SLAB, "environment"),
     (CONFIG, "environment", {}, "environment"),
+    (CONFIG, "environment", {"abstract_rates": {"gamma_l": [[0.1]], "gamma_g": 0.05}},
+     "environment.abstract_rates.gamma_l"),
     (CONFIG, "qubit.dipole", 5, "qubit.dipole"),
     (CONFIG, "qubit.dipole", [1.0, 0.0], "qubit.dipole"),
     (CONFIG, "qubit.omega_a", "x", "qubit.omega_a"),
@@ -185,6 +188,43 @@ def test_wrong_typed_config_rejected(tmp_path, capsys, command, path, value, sho
     assert rc == 2
     assert f"config field {shown}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "model, gamma_l",
+    [("two_level", -0.1), ("v_shaped", [[1.0, 2.0], [2.0, 1.0]])],
+    ids=["two_level-negative", "v_shaped-not_psd"],
+)
+@pytest.mark.parametrize("command", CONFIG)
+def test_not_completely_positive_rates_rejected(tmp_path, capsys, command, model, gamma_l):
+    cfg = {
+        "qubit": {"model": model},
+        "environment": {"abstract_rates": {"gamma_l": gamma_l, "gamma_g": 0.05}},
+        "evolution": {"t_max": 10.0, "n_steps": 20, "initial_state": "g"},
+    }
+    out = tmp_path / "out"
+    rc = main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out), "--quiet"])
+    assert rc == 2
+    assert "not PSD" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["exact", "asymptotic"])
+def test_slab_tensor_function_looked_up_when_called(monkeypatch, mode):
+    """The CLI calls the slab tensor function that lindgain.greens holds when
+    the config is read, so a wrapper installed on the module sees the call."""
+    calls = []
+    for name in ("moving_slab_tensors_exact", "moving_slab_tensors_asymptotic"):
+        def counting(params, name=name, original=getattr(greens, name)):
+            calls.append(name)
+            return original(params)
+        monkeypatch.setattr(greens, name, counting)
+    cfg = {
+        "qubit": {"model": "v_shaped", "dipole": [1.0, 0.0, [0.0, 1.0]]},
+        "environment": {"moving_slab": {**SLAB, "z_a": 3.0, "mode": mode}},
+    }
+    build_rate_model(cfg)
+    assert calls == [f"moving_slab_tensors_{mode}"]
 
 
 class TestSteady:

@@ -26,6 +26,7 @@ from lindgain import (
     liouvillian_two_level,
     liouvillian_v,
     moving_slab_tensors_asymptotic,
+    rate_matrices,
     rate_matrices_v,
     rates_two_level,
     steady_linear_family,
@@ -113,6 +114,26 @@ class TestRates:
         rp = rates_two_level(q, ISO_PAIR)
         assert rp.gamma_loss == pytest.approx(0.29842, rel=1e-4)
         assert rp.gamma_gain == pytest.approx(0.099472, rel=1e-4)
+
+    @given(st.integers(0, 2**32 - 1), st.floats(-30.0, 3.0), st.floats(-30.0, 3.0))
+    def test_two_level_is_first_v_channel(self, seed, log_loss, log_gain):
+        rng = np.random.default_rng(seed)
+
+        def psd(scale):
+            b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+            return scale * (b @ b.conj().T)
+
+        pair = InteractionTensorPair(loss=psd(10.0**log_loss), gain=psd(10.0**log_gain))
+        dipole = rng.normal(size=3) + 1j * rng.normal(size=3)
+        one = rate_matrices(QubitSpec(model=TWO_LEVEL, dipole=dipole), pair)
+        v = rate_matrices(QubitSpec(model=V_SHAPED, dipole=dipole), pair)
+        assert one.loss.shape == one.gain.shape == (1, 1)
+        assert one.loss[0, 0] == v.loss[0, 0]
+        assert one.gain[0, 0] == v.gain[0, 0]
+        scalar = RatePair(one.loss[0, 0].real, one.gain[0, 0].real)
+        np.testing.assert_array_equal(
+            steady_two_level_closed(one).rho, steady_two_level_closed(scalar).rho
+        )
 
     def test_linear_polarization_structure(self):
         q = QubitSpec(model=V_SHAPED, dipole=np.array([1.0, 0.0, 0.0]))
@@ -212,6 +233,14 @@ class TestLiouvillianV:
     def test_non_psd_rejected(self):
         with pytest.raises(ValidationError):
             RateMatrices(loss=np.diag([1.0, -0.1]), gain=np.zeros((2, 2)))
+
+    def test_negative_scalar_rate_rejected(self):
+        with pytest.raises(ValidationError, match="not PSD"):
+            RatePair(-0.1, 0.0)
+
+    def test_mixed_sizes_rejected(self):
+        with pytest.raises(ValidationError, match="must both be 1x1 or both 2x2"):
+            RateMatrices(loss=[[0.1]], gain=np.zeros((2, 2)))
 
 
 class TestCompletePositivityScale:
