@@ -13,12 +13,12 @@ from lindgain import (
     RatePair,
     evolve,
     fit_linear_family_theta,
-    liouvillian_v,
+    liouvillian,
 )
 from lindgain.cli import parse_initial_state
 
 rates = RateMatrices(loss=0.1 * np.ones((2, 2)), gain=0.05 * np.ones((2, 2)))
-L = liouvillian_v(rates)
+L = liouvillian(rates)
 family = RatePair(gamma_loss=0.1, gamma_gain=0.05)
 
 for init in ("e1", "bright", "g"):

@@ -12,8 +12,8 @@ from lindgain import (
     ScalarPermittivitySplit,
     SubstrateGeometry,
     isotropic_gain_tensors,
-    liouvillian_two_level,
-    rates_two_level,
+    liouvillian,
+    rate_matrices,
     steady_state_kernel,
     steady_two_level_closed,
 )
@@ -26,10 +26,10 @@ print("loss tensor diagonal:", np.diag(pair.loss).real)
 print("gain tensor diagonal:", np.diag(pair.gain).real)
 
 qubit = QubitSpec(model="two_level", dipole=[1.0, 0.0, 0.0])
-rates = rates_two_level(qubit, pair)
+rates = rate_matrices(qubit, pair)
 print(f"gamma_loss = {rates.gamma_loss:.6f}, gamma_gain = {rates.gamma_gain:.6f}")
 
-state, kdim = steady_state_kernel(liouvillian_two_level(rates))
+state, kdim = steady_state_kernel(liouvillian(rates))
 closed = steady_two_level_closed(rates)
 print(f"kernel dimension: {kdim}")
 print(f"excited population (kernel):      {state.rho[1, 1].real:.10f}")

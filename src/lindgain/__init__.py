@@ -27,7 +27,6 @@ from .greens import (
 from .master import (
     DensityMatrix,
     LinearFamilyState,
-    Liouvillian,
     QubitSpec,
     RateMatrices,
     RatePair,
@@ -38,18 +37,13 @@ from .master import (
     evolve,
     fit_linear_family_theta,
     liouvillian,
-    liouvillian_two_level,
-    liouvillian_v,
     rate_matrices,
-    rate_matrices_v,
-    rates_two_level,
     steady_linear_family,
     steady_state_kernel,
     steady_two_level_closed,
     steady_v_closed,
-    thermal_rate_matrices,
-    thermal_rate_pair,
-    thermal_tensors,
+    thermal,
+    trace_residual,
 )
 from .material import (
     DrudeParams,

@@ -182,20 +182,27 @@ def build_rate_model(cfg: dict) -> dict:
     qubit = _build_qubit(cfg)
     env_type = _field(cfg, "environment", _environment_type)
     occ = _occupation(cfg)
-    out = {"qubit": qubit, "occupation": occ, "tensors": None, "thermal_tensors": None}
+    out = {"qubit": qubit, "occupation": occ, "tensors": None, "tensors_th": None}
     out["environment"] = {"type": env_type}
     if env_type == "abstract_rates":
         kind = _rate_matrix(len(qubit.dipoles))
         loss, gain = (_field(cfg, f"environment.abstract_rates.gamma_{x}", kind) for x in "lg")
-        out["rates"] = master.thermal_rate_matrices(master.RateMatrices(loss, gain), occ)
+        try:
+            rates = master.RateMatrices(loss, gain)
+        except ValidationError as exc:
+            # the check names the failing matrix first: "loss ..." or "gain ..."
+            name = "gamma_g" if str(exc).startswith("gain") else "gamma_l"
+            field = f"environment.abstract_rates.{name}"
+            raise ValidationError(f"config field {field}: {exc}") from exc
+        out["rates"] = master.thermal(rates, occ)
         return out
     if env_type == "isotropic_substrate":
         pair = greens.isotropic_gain_tensors(*_build_substrate(cfg))
     else:
         pair = _build_slab(cfg)
-    pair_th = master.thermal_tensors(pair, occ)
+    pair_th = master.thermal(pair, occ)
     out["tensors"] = pair
-    out["thermal_tensors"] = pair_th
+    out["tensors_th"] = pair_th
     out["rates"] = master.rate_matrices(qubit, pair_th)
     out["environment"].update(_field(cfg, f"environment.{env_type}", _object))
     return out
@@ -404,14 +411,9 @@ def run_rates(cfg: dict, out_dir: Path, quiet: bool = False) -> int:
         "qubit_model": model["qubit"].model,
     }
     if model["tensors"] is not None:
-        record["tensor_loss"] = _complex_matrix_json(model["tensors"].loss)
-        record["tensor_gain"] = _complex_matrix_json(model["tensors"].gain)
-        record["thermal_tensor_loss"] = _complex_matrix_json(
-            model["thermal_tensors"].loss
-        )
-        record["thermal_tensor_gain"] = _complex_matrix_json(
-            model["thermal_tensors"].gain
-        )
+        for prefix, key in (("tensor", "tensors"), ("thermal_tensor", "tensors_th")):
+            record[f"{prefix}_loss"] = _complex_matrix_json(model[key].loss)
+            record[f"{prefix}_gain"] = _complex_matrix_json(model[key].gain)
     rates = model["rates"]
     for key, m in (("gamma_loss", rates.loss), ("gamma_gain", rates.gain)):
         if rates.m == 1:
@@ -491,8 +493,8 @@ def fig3b_sweep(n_points: int = 64) -> np.ndarray:
     rho_e2e2)."""
     rows = []
     for n in np.logspace(-2.0, 3.0, n_points):
-        rates = master.thermal_rate_matrices(FIG3_RATES, master.ThermalOccupation(n))
-        state, _ = master.steady_state_kernel(master.liouvillian_v(rates))
+        rates = master.thermal(FIG3_RATES, master.ThermalOccupation(n))
+        state, _ = master.steady_state_kernel(master.liouvillian(rates))
         rows.append([n, *np.diag(state.rho).real])
     return np.array(rows)
 
@@ -514,7 +516,7 @@ def run_figure(name: str, out_dir: Path, quiet: bool = False) -> int:
         rates, init = FIGURE_PRESETS[name]
         rho0 = parse_initial_state(init, master.V_SHAPED)
         traj = master.evolve(
-            master.liouvillian_v(rates), rho0, PRESET_T_MAX, PRESET_N_STEPS
+            master.liouvillian(rates), rho0, PRESET_T_MAX, PRESET_N_STEPS
         )
         write_trajectory_csv(csv_path, traj)
         _plot_trajectory(out_dir / f"{name}.svg", traj)

@@ -116,8 +116,9 @@ class RatePair(RateMatrices):
     """Scalar loss/gain rate constants of the two-level system (units of
     the transition frequency): the 1x1 case of :class:`RateMatrices`."""
 
-    def __init__(self, gamma_loss: float, gamma_gain: float):
-        super().__init__([[gamma_loss]], [[gamma_gain]])
+    def __init__(self, gamma_loss, gamma_gain):
+        # a number or a 1x1 array, so that thermal() can rebuild one
+        super().__init__(np.reshape(gamma_loss, (1, 1)), np.reshape(gamma_gain, (1, 1)))
 
     @property
     def gamma_loss(self) -> float:
@@ -126,23 +127,6 @@ class RatePair(RateMatrices):
     @property
     def gamma_gain(self) -> float:
         return float(self.gain[0, 0].real)
-
-
-@dataclass
-class Liouvillian:
-    """Dense superoperator over the row-major vectorized density matrix."""
-
-    matrix: np.ndarray
-    omega_a: float
-
-    @property
-    def dim(self) -> int:
-        return int(round(np.sqrt(self.matrix.shape[0])))
-
-    def trace_residual(self) -> float:
-        """Norm of vec(I)^H L, scaled check for trace preservation."""
-        tr = np.eye(self.dim, dtype=complex).reshape(-1)
-        return float(np.linalg.norm(tr.conj() @ self.matrix))
 
 
 def _check_states(rho: np.ndarray, times: np.ndarray | None = None):
@@ -223,56 +207,26 @@ class Trajectory:
         return [DensityMatrix(r, self.labels) for r in self.rho]
 
 
-def _mix(loss, gain, occ: ThermalOccupation):
-    """Bose mixing of a loss/gain pair: loss_th = (1+n) loss + n gain,
-    gain_th = (1+n) gain + n loss.  Linear, so it commutes with the rate
-    projection."""
+def thermal(pair, occ: ThermalOccupation):
+    """Mix the zero-temperature loss/gain pair with the Bose occupation:
+    loss_th = (1+n) loss + n gain, gain_th = (1+n) gain + n loss.  Takes and
+    returns an :class:`InteractionTensorPair`, :class:`RateMatrices` or
+    :class:`RatePair`; linear, so it commutes with :func:`rate_matrices`."""
     n = occ.n
-    return (1.0 + n) * loss + n * gain, (1.0 + n) * gain + n * loss
+    loss, gain = pair.loss, pair.gain
+    return type(pair)((1.0 + n) * loss + n * gain, (1.0 + n) * gain + n * loss)
 
 
-def thermal_tensors(
-    pair: InteractionTensorPair, occ: ThermalOccupation
-) -> InteractionTensorPair:
-    """Mix the zero-temperature channel tensors with the Bose occupation."""
-    return InteractionTensorPair(*_mix(pair.loss, pair.gain, occ))
-
-
-def thermal_rate_pair(rates: RatePair, occ: ThermalOccupation) -> RatePair:
-    """Rate-level counterpart of :func:`thermal_tensors`."""
-    return RatePair(*_mix(rates.gamma_loss, rates.gamma_gain, occ))
-
-
-def thermal_rate_matrices(rates: RateMatrices, occ: ThermalOccupation) -> RateMatrices:
-    return RateMatrices(*_mix(rates.loss, rates.gain, occ))
-
-
-def rate_matrices(q: QubitSpec, pair_th: InteractionTensorPair) -> RateMatrices:
-    """Kossakowski matrices Gamma_{a,ij} = 2 gamma_i^* . G_th . gamma_j over
-    the transition dipoles gamma_i of the qubit, (m, m) for m excited levels."""
+def rate_matrices(q: QubitSpec, pair: InteractionTensorPair) -> RateMatrices:
+    """Kossakowski matrices Gamma_{a,ij} = 2 gamma_i^* . G_a . gamma_j over
+    the transition dipoles gamma_i of the qubit, (m, m) for m excited levels;
+    a :class:`RatePair` for the two-level qubit."""
     g = q.dipoles
     loss, gain = (
         np.array([[2.0 * (gi.conj() @ t @ gj) for gj in g] for gi in g])
-        for t in (pair_th.loss, pair_th.gain)
+        for t in (pair.loss, pair.gain)
     )
-    return RateMatrices(loss, gain)
-
-
-def _of_model(q: QubitSpec, model: str) -> QubitSpec:
-    if q.model != model:
-        raise ValidationError(f"requires a {model} qubit, got {q.model}")
-    return q
-
-
-def rates_two_level(q: QubitSpec, pair_th: InteractionTensorPair) -> RatePair:
-    """Rate constants 2 gamma_e^* . G_th . gamma_e for both channels."""
-    rates = rate_matrices(_of_model(q, TWO_LEVEL), pair_th)
-    return RatePair(rates.loss[0, 0].real, rates.gain[0, 0].real)
-
-
-def rate_matrices_v(q: QubitSpec, pair_th: InteractionTensorPair) -> RateMatrices:
-    """Kossakowski matrices with gamma_1 = gamma_e and gamma_2 = gamma_e^*."""
-    return rate_matrices(_of_model(q, V_SHAPED), pair_th)
+    return (RatePair if len(g) == 1 else RateMatrices)(loss, gain)
 
 
 def _sandwich(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -282,14 +236,9 @@ def _sandwich(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _dissipator(j_left: np.ndarray, j_right: np.ndarray) -> np.ndarray:
     """Superoperator of J_l rho J_r - 1/2 {J_r J_l, rho}."""
-    dim = j_left.shape[0]
-    eye = np.eye(dim, dtype=complex)
+    eye = np.eye(len(j_left), dtype=complex)
     anti = j_right @ j_left
-    return (
-        _sandwich(j_left, j_right)
-        - 0.5 * _sandwich(anti, eye)
-        - 0.5 * _sandwich(eye, anti)
-    )
+    return _sandwich(j_left, j_right) - 0.5 * _sandwich(anti, eye) - 0.5 * _sandwich(eye, anti)
 
 
 @functools.cache
@@ -310,32 +259,35 @@ def _superoperators(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ham, loss, gain
 
 
-def liouvillian(rates: RateMatrices, omega_a: float = 1.0) -> Liouvillian:
+def liouvillian(rates: RateMatrices, omega_a: float = 1.0) -> np.ndarray:
     """Generator -i omega_a [E, .] + sum_ij loss_ij D[s_j, s_i^+]
-    + gain_ij D[s_i^+, s_j] of the qubit with m = rates.m excited levels."""
+    + gain_ij D[s_i^+, s_j] of the qubit with m = rates.m excited levels, as
+    a complex (d^2, d^2) array over the row-major vectorized state, d = m + 1."""
     ham, d_loss, d_gain = _superoperators(rates.m)
     mat = -1j * (omega_a * ham)
     for i in range(rates.m):
         for j in range(rates.m):
             mat += rates.loss[i, j] * d_loss[i, j]
             mat += rates.gain[i, j] * d_gain[i, j]
-    return Liouvillian(matrix=mat, omega_a=omega_a)
+    return mat
 
 
-def liouvillian_two_level(rates: RatePair, omega_a: float = 1.0) -> Liouvillian:
-    """4x4 generator in the (gg, ge, eg, ee) basis, including the coherence
-    phase terms at +-i omega_a."""
-    return liouvillian(rates, omega_a)
+def _state_dim(L: np.ndarray) -> int:
+    """d of a (d^2, d^2) generator over the states of a qubit model."""
+    for dim in LABELS:
+        if np.shape(L) == (dim * dim,) * 2:
+            return dim
+    raise ValidationError(f"generator must be 4x4 or 9x9, got shape {np.shape(L)}")
 
 
-def liouvillian_v(rates: RateMatrices, omega_a: float = 1.0) -> Liouvillian:
-    """9x9 generator over (g, e1, e2) row-major, with the loss Kossakowski
-    matrix on the lowering terms and the gain matrix on the raising terms."""
-    return liouvillian(rates, omega_a)
+def trace_residual(L: np.ndarray) -> float:
+    """Norm of vec(I)^H L, scaled check for trace preservation."""
+    tr = np.eye(_state_dim(L), dtype=complex).reshape(-1)
+    return float(np.linalg.norm(tr.conj() @ L))
 
 
 def evolve(
-    L: Liouvillian, rho0: DensityMatrix, t_max: float, n_steps: int
+    L: np.ndarray, rho0: DensityMatrix, t_max: float, n_steps: int
 ) -> Trajectory:
     """Propagate on a uniform grid by repeated application of the exact
     step propagator expm(L dt), then check the invariants of every state."""
@@ -343,12 +295,12 @@ def evolve(
         raise DomainError("t_max must be > 0")
     if n_steps < 2:
         raise DomainError("n_steps must be >= 2")
-    dim = L.dim
+    dim = _state_dim(L)
     if rho0.rho.shape != (dim, dim):
         raise ValidationError("initial state dimension does not match generator")
     times = np.linspace(0.0, t_max, n_steps + 1)
     dt = times[1] - times[0]
-    prop = expm(L.matrix * dt)
+    prop = expm(L * dt)
     vecs = np.empty((n_steps + 1, dim * dim), dtype=complex)
     vecs[0] = rho0.rho.reshape(-1)
     for step in range(1, n_steps + 1):
@@ -358,7 +310,7 @@ def evolve(
 
 
 def steady_state_kernel(
-    L: Liouvillian, rho0: DensityMatrix | None = None
+    L: np.ndarray, rho0: DensityMatrix | None = None
 ) -> tuple[DensityMatrix, int]:
     """Steady state from the null space of the generator.
 
@@ -366,15 +318,13 @@ def steady_state_kernel(
     is resolved by biorthogonal projection of the required initial state onto
     the right kernel basis.
     """
-    vals, vl, vr = eig(L.matrix, left=True, right=True)
+    dim = _state_dim(L)
+    vals, vl, vr = eig(L, left=True, right=True)
     scale = np.max(np.abs(vals)) if np.max(np.abs(vals)) > 0 else 1.0
     idx = np.where(np.abs(vals) <= KERNEL_TOL * scale)[0]
     kdim = len(idx)
-    dim = L.dim
     if kdim == 0:
-        raise SpectralToleranceError(
-            "no kernel vector found within spectral tolerance"
-        )
+        raise SpectralToleranceError("no kernel vector found within spectral tolerance")
     if kdim == 1:
         rho = vr[:, idx[0]].reshape(dim, dim)
     else:
@@ -397,6 +347,8 @@ def steady_state_kernel(
 
 def steady_two_level_closed(rates: RateMatrices) -> DensityMatrix:
     """Closed-form mixed steady state diag(G_L, G_G) / (G_L + G_G), 1x1 rates."""
+    if rates.m != 1:
+        raise ValidationError(f"steady_two_level_closed needs 1x1 rates, got {rates.m}x{rates.m}")
     gl, gg = rates.loss[0, 0].real, rates.gain[0, 0].real
     tot = gl + gg
     if tot <= 0:
@@ -407,6 +359,8 @@ def steady_two_level_closed(rates: RateMatrices) -> DensityMatrix:
 
 def steady_v_closed(rates: RateMatrices) -> DensityMatrix:
     """Closed-form steady state of the V-shaped system (non-degenerate case)."""
+    if rates.m != 2:
+        raise ValidationError(f"steady_v_closed needs 2x2 rates, got {rates.m}x{rates.m}")
     gl, gg = rates.loss, rates.gain
     a = (gl[0, 0] * gl[1, 1] - gl[0, 1] * gl[1, 0]).real
     b = (

@@ -17,12 +17,13 @@ HERMITICITY_TOL = 1e-12
 
 
 def require_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Validate that ``m`` is a square Hermitian matrix (element-wise tol)."""
+    """Validate that ``m`` is a square Hermitian matrix: no element of
+    m - m^H exceeds tol * ||m||, so the check holds at any scale."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
     dev = np.max(np.abs(m - m.conj().T))
-    if dev > tol:
+    if dev > tol * np.linalg.norm(m):
         raise ValidationError(f"matrix is not Hermitian: max deviation {dev:.3e}")
     return m
 
@@ -44,7 +45,7 @@ def spectral_split(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     gain = np.zeros_like(h)
     for lam, v in zip(vals, vecs.T):
         proj = lam * np.outer(v, v.conj())
-        if lam < -HERMITICITY_TOL * max(scale, 1.0):
+        if lam < -HERMITICITY_TOL * scale:
             gain += proj
         else:
             loss += proj

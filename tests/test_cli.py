@@ -209,6 +209,31 @@ def test_not_completely_positive_rates_rejected(tmp_path, capsys, command, model
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "model, bad",
+    [("two_level", -0.1), ("v_shaped", [[1.0, 2.0], [2.0, 1.0]])],
+    ids=["two_level", "v_shaped"],
+)
+@pytest.mark.parametrize("field", ["gamma_l", "gamma_g"])
+@pytest.mark.parametrize("command", CONFIG)
+def test_not_completely_positive_rates_name_their_field(
+    tmp_path, capsys, command, field, model, bad
+):
+    rates = {"gamma_l": 0.1, "gamma_g": 0.05, field: bad}
+    cfg = {
+        "qubit": {"model": model},
+        "environment": {"abstract_rates": rates},
+        "evolution": {"t_max": 10.0, "n_steps": 20, "initial_state": "g"},
+    }
+    out = tmp_path / "out"
+    rc = main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out), "--quiet"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"config field environment.abstract_rates.{field}: " in err
+    assert "not PSD" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mode", ["exact", "asymptotic"])
 def test_slab_tensor_function_looked_up_when_called(monkeypatch, mode):
     """The CLI calls the slab tensor function that lindgain.greens holds when

@@ -23,19 +23,15 @@ from lindgain import (
     evolve,
     fit_linear_family_theta,
     isotropic_gain_tensors,
-    liouvillian_two_level,
-    liouvillian_v,
+    liouvillian,
     moving_slab_tensors_asymptotic,
     rate_matrices,
-    rate_matrices_v,
-    rates_two_level,
     steady_linear_family,
     steady_state_kernel,
     steady_two_level_closed,
     steady_v_closed,
-    thermal_rate_matrices,
-    thermal_rate_pair,
-    thermal_tensors,
+    thermal,
+    trace_residual,
 )
 from lindgain.master import TWO_LEVEL_LABELS, V_LABELS, DensityMatrix
 
@@ -60,23 +56,23 @@ def random_psd_rate_matrices(rng):
 
 class TestThermalMixing:
     def test_zero_temperature_passthrough(self):
-        th = thermal_tensors(ISO_PAIR, ThermalOccupation(0.0))
+        th = thermal(ISO_PAIR, ThermalOccupation(0.0))
         np.testing.assert_allclose(th.loss, ISO_PAIR.loss)
         np.testing.assert_allclose(th.gain, ISO_PAIR.gain)
 
     def test_unit_occupation(self):
-        th = thermal_tensors(ISO_PAIR, ThermalOccupation(1.0))
+        th = thermal(ISO_PAIR, ThermalOccupation(1.0))
         np.testing.assert_allclose(th.loss, 2.0 * ISO_PAIR.loss + ISO_PAIR.gain)
 
     def test_high_temperature_limit(self):
         n = 1e6
-        th = thermal_tensors(ISO_PAIR, ThermalOccupation(n))
+        th = thermal(ISO_PAIR, ThermalOccupation(n))
         total = ISO_PAIR.loss + ISO_PAIR.gain
         np.testing.assert_allclose(th.loss / n, total, rtol=1e-5)
         np.testing.assert_allclose(th.gain / n, total, rtol=1e-5)
 
     def test_remains_psd(self):
-        thermal_tensors(ISO_PAIR, ThermalOccupation(3.7)).validate()
+        thermal(ISO_PAIR, ThermalOccupation(3.7)).validate()
 
     def test_negative_occupation_rejected(self):
         with pytest.raises(DomainError):
@@ -85,10 +81,25 @@ class TestThermalMixing:
     def test_tensor_vs_rate_level_mixing(self):
         q = QubitSpec(model=V_SHAPED, dipole=np.array([1.0, 0.2j, 0.5]))
         occ = ThermalOccupation(0.8)
-        via_tensor = rate_matrices_v(q, thermal_tensors(ISO_PAIR, occ))
-        via_rates = thermal_rate_matrices(rate_matrices_v(q, ISO_PAIR), occ)
+        via_tensor = rate_matrices(q, thermal(ISO_PAIR, occ))
+        via_rates = thermal(rate_matrices(q, ISO_PAIR), occ)
         np.testing.assert_allclose(via_tensor.loss, via_rates.loss, atol=1e-12)
         np.testing.assert_allclose(via_tensor.gain, via_rates.gain, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "pair",
+        [ISO_PAIR, RateMatrices(np.diag([0.1, 0.175]), np.diag([0.075, 0.0])), RatePair(0.3, 0.1)],
+        ids=["tensors", "rate_matrices", "rate_pair"],
+    )
+    def test_returns_the_type_it_was_given(self, pair):
+        th = thermal(pair, ThermalOccupation(0.5))
+        assert type(th) is type(pair)
+        np.testing.assert_array_equal(th.loss, 1.5 * pair.loss + 0.5 * pair.gain)
+        np.testing.assert_array_equal(th.gain, 1.5 * pair.gain + 0.5 * pair.loss)
+
+    def test_rate_pair_keeps_scalar_rates(self):
+        th = thermal(RatePair(0.3, 0.1), ThermalOccupation(0.5))
+        assert (th.gamma_loss, th.gamma_gain) == (1.5 * 0.3 + 0.5 * 0.1, 1.5 * 0.1 + 0.5 * 0.3)
 
 
 class TestRates:
@@ -98,20 +109,20 @@ class TestRates:
             loss=np.diag([0.2, 0.3, 0.4]).astype(complex),
             gain=np.zeros((3, 3), dtype=complex),
         )
-        rp = rates_two_level(q, pair)
+        rp = rate_matrices(q, pair)
         assert rp.gamma_loss == pytest.approx(0.4)
 
     def test_quadratic_scaling(self):
         q1 = QubitSpec(model=TWO_LEVEL, dipole=np.array([1.0, 0.0, 0.0]))
         q2 = QubitSpec(model=TWO_LEVEL, dipole=np.array([2.0, 0.0, 0.0]))
-        r1 = rates_two_level(q1, ISO_PAIR)
-        r2 = rates_two_level(q2, ISO_PAIR)
+        r1 = rate_matrices(q1, ISO_PAIR)
+        r2 = rate_matrices(q2, ISO_PAIR)
         assert r2.gamma_loss == pytest.approx(4.0 * r1.gamma_loss)
         assert r2.gamma_gain == pytest.approx(4.0 * r1.gamma_gain)
 
     def test_substrate_reference_values(self):
         q = QubitSpec(model=TWO_LEVEL, dipole=np.array([1.0, 0.0, 0.0]))
-        rp = rates_two_level(q, ISO_PAIR)
+        rp = rate_matrices(q, ISO_PAIR)
         assert rp.gamma_loss == pytest.approx(0.29842, rel=1e-4)
         assert rp.gamma_gain == pytest.approx(0.099472, rel=1e-4)
 
@@ -135,9 +146,16 @@ class TestRates:
             steady_two_level_closed(one).rho, steady_two_level_closed(scalar).rho
         )
 
+    def test_two_level_rates_are_a_rate_pair(self):
+        q = QubitSpec(model=TWO_LEVEL, dipole=np.array([1.0, 0.0, 0.0]))
+        assert type(rate_matrices(q, ISO_PAIR)) is RatePair
+        assert type(rate_matrices(QubitSpec(model=V_SHAPED, dipole=q.dipole), ISO_PAIR)) is (
+            RateMatrices
+        )
+
     def test_linear_polarization_structure(self):
         q = QubitSpec(model=V_SHAPED, dipole=np.array([1.0, 0.0, 0.0]))
-        rm = rate_matrices_v(q, ISO_PAIR)
+        rm = rate_matrices(q, ISO_PAIR)
         gl = rm.loss
         assert gl[0, 0].real == pytest.approx(gl[1, 1].real)
         assert abs(gl[0, 1]) == pytest.approx(gl[0, 0].real)
@@ -149,7 +167,7 @@ class TestRates:
         q = QubitSpec(
             model=V_SHAPED, dipole=gamma * np.array([1.0, 0.0, 1.0j]) / np.sqrt(2.0)
         )
-        rm = rate_matrices_v(q, pair)
+        rm = rate_matrices(q, pair)
         g_l0 = np.linalg.eigvalsh(pair.loss).max()
         g_g0 = np.linalg.eigvalsh(pair.gain).max()
         assert rm.loss[1, 1].real == pytest.approx(2 * gamma**2 * g_l0, rel=1e-10)
@@ -159,7 +177,7 @@ class TestRates:
         assert abs(rm.gain[1, 1]) <= 1e-12 * abs(rm.gain[0, 0])
         # background loss populates the other decay channel
         g00 = 0.05
-        rm2 = rate_matrices_v(q, add_background_loss(pair, g00))
+        rm2 = rate_matrices(q, add_background_loss(pair, g00))
         assert rm2.loss[0, 0].real == pytest.approx(2 * gamma**2 * g00, rel=1e-10)
         assert rm2.loss[1, 1].real == pytest.approx(
             2 * gamma**2 * (g_l0 + g00), rel=1e-10
@@ -169,31 +187,48 @@ class TestRates:
 
 class TestLiouvillianTwoLevel:
     def test_null_vector_form(self):
-        L = liouvillian_two_level(RatePair(0.1, 0.05))
+        L = liouvillian(RatePair(0.1, 0.05))
         null = np.array([0.1, 0.0, 0.0, 0.05], dtype=complex)
-        assert np.linalg.norm(L.matrix @ null) <= 1e-14
+        assert np.linalg.norm(L @ null) <= 1e-14
 
     def test_passive_ground_state(self):
-        L = liouvillian_two_level(RatePair(0.1, 0.0))
+        L = liouvillian(RatePair(0.1, 0.0))
         state, kdim = steady_state_kernel(L)
         assert kdim == 1
         np.testing.assert_allclose(state.rho, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_coherence_eigenvalues(self):
         gl, gg, wa = 0.1, 0.05, 1.0
-        L = liouvillian_two_level(RatePair(gl, gg), omega_a=wa)
-        vals = np.linalg.eigvals(L.matrix)
+        L = liouvillian(RatePair(gl, gg), omega_a=wa)
+        vals = np.linalg.eigvals(L)
         expect = -(gl + gg) / 2 + 1j * wa
         assert min(abs(vals - expect)) <= 1e-12
         assert min(abs(vals - np.conj(expect))) <= 1e-12
 
+    def test_generator_is_a_plain_array(self):
+        v_rates = random_psd_rate_matrices(np.random.default_rng(3))
+        for rates, dim in ((RatePair(0.3, 0.2), 2), (v_rates, 3)):
+            L = liouvillian(rates)
+            assert type(L) is np.ndarray
+            assert L.shape == (dim * dim, dim * dim) and L.dtype == complex
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4,), (4, 9), (16, 16)])
+    def test_generator_of_no_qubit_model_rejected(self, shape):
+        L = np.zeros(shape, dtype=complex)
+        def run(L):
+            return evolve(L, pure_state(0, 2), 1.0, 2)
+
+        for call in (trace_residual, steady_state_kernel, run):
+            with pytest.raises(ValidationError, match="generator must be 4x4 or 9x9"):
+                call(L)
+
     def test_trace_preservation(self):
-        L = liouvillian_two_level(RatePair(0.3, 0.2))
-        assert L.trace_residual() <= 1e-12 * np.linalg.norm(L.matrix)
+        L = liouvillian(RatePair(0.3, 0.2))
+        assert trace_residual(L) <= 1e-12 * np.linalg.norm(L)
 
     def test_spectrum_left_half_plane(self):
-        L = liouvillian_two_level(RatePair(0.3, 0.2))
-        assert np.linalg.eigvals(L.matrix).real.max() <= 1e-10 * np.linalg.norm(L.matrix)
+        L = liouvillian(RatePair(0.3, 0.2))
+        assert np.linalg.eigvals(L).real.max() <= 1e-10 * np.linalg.norm(L)
 
 
 class TestLiouvillianV:
@@ -204,29 +239,29 @@ class TestLiouvillianV:
     )
     def test_two_level_is_one_channel_block(self, log_loss, log_gain, omega_a):
         a, b = 10.0**log_loss, 10.0**log_gain
-        two = liouvillian_two_level(RatePair(a, b), omega_a).matrix
-        v = liouvillian_v(
+        two = liouvillian(RatePair(a, b), omega_a)
+        v = liouvillian(
             RateMatrices(loss=np.diag([a, 0.0]), gain=np.diag([b, 0.0])), omega_a
-        ).matrix
+        )
         block = [0, 1, 3, 4]  # gg, ge1, e1g, e1e1
         np.testing.assert_array_equal(two, v[np.ix_(block, block)])
 
     def test_trace_preservation(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
-            L = liouvillian_v(random_psd_rate_matrices(rng))
-            assert L.trace_residual() <= 1e-14 * np.linalg.norm(L.matrix)
+            L = liouvillian(random_psd_rate_matrices(rng))
+            assert trace_residual(L) <= 1e-14 * np.linalg.norm(L)
 
     def test_linear_polarization_kernel_dim(self):
         rm = RateMatrices(loss=0.1 * np.ones((2, 2)), gain=0.05 * np.ones((2, 2)))
-        L = liouvillian_v(rm)
-        vals = np.linalg.eigvals(L.matrix)
+        L = liouvillian(rm)
+        vals = np.linalg.eigvals(L)
         kdim = np.sum(np.abs(vals) <= 1e-10 * np.abs(vals).max())
         assert kdim == 2
 
     def test_chiral_kernel_is_e1(self):
         rm = RateMatrices(loss=np.diag([0.0, 0.1]), gain=np.diag([0.075, 0.0]))
-        state, kdim = steady_state_kernel(liouvillian_v(rm))
+        state, kdim = steady_state_kernel(liouvillian(rm))
         assert kdim == 1
         np.testing.assert_allclose(state.rho, np.diag([0.0, 1.0, 0.0]), atol=1e-10)
 
@@ -268,8 +303,8 @@ class TestCompletePositivityScale:
 
 class TestEvolve:
     def test_zero_generator_constant(self):
-        L = liouvillian_two_level(RatePair(0.0, 0.0), omega_a=1.0)
-        L.matrix[:] = 0.0
+        L = liouvillian(RatePair(0.0, 0.0), omega_a=1.0)
+        L[:] = 0.0
         rho0 = pure_state(0, 2)
         traj = evolve(L, rho0, 1.0, 10)
         for st in traj.states:
@@ -277,7 +312,7 @@ class TestEvolve:
 
     def test_analytic_relaxation(self):
         gl, gg = 0.1, 0.05
-        L = liouvillian_two_level(RatePair(gl, gg))
+        L = liouvillian(RatePair(gl, gg))
         traj = evolve(L, pure_state(0, 2), 80.0, 400)
         tot = gl + gg
         expect = (gg / tot) * (1.0 - np.exp(-tot * traj.times))
@@ -286,7 +321,7 @@ class TestEvolve:
 
     def test_half_step_refinement(self):
         rm = RateMatrices(loss=np.diag([0.1, 0.175]), gain=np.diag([0.075, 0.0]))
-        L = liouvillian_v(rm)
+        L = liouvillian(rm)
         coarse = evolve(L, pure_state(2, 3), 50.0, 200)
         fine = evolve(L, pure_state(2, 3), 50.0, 400)
         for k, st in enumerate(coarse.states):
@@ -296,7 +331,7 @@ class TestEvolve:
 
     def test_invariants_along_trajectory(self):
         rm = RateMatrices(loss=0.1 * np.ones((2, 2)), gain=0.05 * np.ones((2, 2)))
-        traj = evolve(liouvillian_v(rm), pure_state(1, 3), 500.0, 500)
+        traj = evolve(liouvillian(rm), pure_state(1, 3), 500.0, 500)
         for st in traj.states:
             assert abs(st.trace - 1.0) <= 1e-9
             assert st.min_eigenvalue >= -1e-9
@@ -304,25 +339,25 @@ class TestEvolve:
     def test_growing_trace_names_first_failing_step(self):
         # d rho_ee / dt = c rho_gg with nothing lost: trace = 1 + c t, which
         # crosses the 1e-9 tolerance between t = 0.4 (step 4) and t = 0.5
-        L = liouvillian_two_level(RatePair(0.0, 0.0), omega_a=1.0)
-        L.matrix[:] = 0.0
-        L.matrix[3, 0] = 2.2e-9
+        L = liouvillian(RatePair(0.0, 0.0), omega_a=1.0)
+        L[:] = 0.0
+        L[3, 0] = 2.2e-9
         with pytest.raises(
             NumericalInstabilityError, match=r"step 5 \(t = 0\.5\): trace"
         ):
             evolve(L, pure_state(0, 2), 1.0, 10)
 
     def test_nan_generator_fails_first_step(self):
-        L = liouvillian_two_level(RatePair(0.1, 0.05))
-        L.matrix[0, 3] = np.nan
+        L = liouvillian(RatePair(0.1, 0.05))
+        L[0, 3] = np.nan
         with pytest.raises(
             NumericalInstabilityError, match=r"step 1 \(t = 0\.1\): .*non-finite"
         ):
             evolve(L, pure_state(1, 2), 1.0, 10)
 
     def test_non_hermitian_state_names_step(self):
-        L = liouvillian_two_level(RatePair(0.1, 0.05))
-        L.matrix[1, 0] += 0.3  # feeds rho_ge from rho_gg, but not rho_eg
+        L = liouvillian(RatePair(0.1, 0.05))
+        L[1, 0] += 0.3  # feeds rho_ge from rho_gg, but not rho_eg
         with pytest.raises(
             NumericalInstabilityError, match=r"step 1 \(t = 0\.5\): .*not Hermitian"
         ):
@@ -338,7 +373,7 @@ class TestEvolve:
 
     def test_chiral_decay_of_e2(self):
         rm = RateMatrices(loss=np.diag([0.1, 0.175]), gain=np.diag([0.075, 0.0]))
-        traj = evolve(liouvillian_v(rm), pure_state(2, 3), 500.0, 1000)
+        traj = evolve(liouvillian(rm), pure_state(2, 3), 500.0, 1000)
         pops = np.array([s.rho[2, 2].real for s in traj.states])
         assert np.all(np.diff(pops) <= 1e-12)
         assert pops[-1] <= 1e-6
@@ -350,18 +385,18 @@ class TestSteadyStates:
         for _ in range(100):
             rp = RatePair(*rng.uniform(0.01, 1.0, size=2))
             closed = steady_two_level_closed(rp)
-            kernel, kdim = steady_state_kernel(liouvillian_two_level(rp))
+            kernel, kdim = steady_state_kernel(liouvillian(rp))
             assert kdim == 1
             np.testing.assert_allclose(closed.rho, kernel.rho, atol=1e-10)
 
     def test_substrate_excited_population(self):
         q = QubitSpec(model=TWO_LEVEL, dipole=np.array([1.0, 0.0, 0.0]))
-        rho = steady_two_level_closed(rates_two_level(q, ISO_PAIR))
+        rho = steady_two_level_closed(rate_matrices(q, ISO_PAIR))
         assert rho.rho[1, 1].real == pytest.approx(0.25, abs=1e-10)
 
     def test_high_temperature_half(self):
         q = QubitSpec(model=TWO_LEVEL, dipole=np.array([1.0, 0.0, 0.0]))
-        rp = rates_two_level(q, thermal_tensors(ISO_PAIR, ThermalOccupation(1e6)))
+        rp = rate_matrices(q, thermal(ISO_PAIR, ThermalOccupation(1e6)))
         rho = steady_two_level_closed(rp)
         assert rho.rho[0, 0].real == pytest.approx(0.5, abs=1e-5)
         assert rho.rho[1, 1].real == pytest.approx(0.5, abs=1e-5)
@@ -378,7 +413,7 @@ class TestSteadyStates:
                 closed = steady_v_closed(rm)
             except DegenerateKernelError:
                 continue
-            kernel, _ = steady_state_kernel(liouvillian_v(rm))
+            kernel, _ = steady_state_kernel(liouvillian(rm))
             np.testing.assert_allclose(closed.rho, kernel.rho, atol=1e-8)
 
     def test_v_closed_fig3_values(self):
@@ -398,6 +433,13 @@ class TestSteadyStates:
         rho = steady_v_closed(rm)
         assert rho.rho[1, 1].real == pytest.approx(rho.rho[2, 2].real, abs=1e-12)
 
+    def test_closed_forms_check_the_rate_size(self):
+        with pytest.raises(ValidationError, match="steady_v_closed needs 2x2 rates, got 1x1"):
+            steady_v_closed(RatePair(0.1, 0.05))
+        rm = RateMatrices(loss=np.diag([0.1, 0.175]), gain=np.diag([0.075, 0.0]))
+        with pytest.raises(ValidationError, match="two_level_closed needs 1x1 rates, got 2x2"):
+            steady_two_level_closed(rm)
+
     def test_linear_degenerate_raises(self):
         rm = RateMatrices(loss=0.1 * np.ones((2, 2)), gain=0.05 * np.ones((2, 2)))
         with pytest.raises(DegenerateKernelError):
@@ -406,17 +448,17 @@ class TestSteadyStates:
     def test_degenerate_kernel_needs_initial_state(self):
         rm = RateMatrices(loss=0.1 * np.ones((2, 2)), gain=0.05 * np.ones((2, 2)))
         with pytest.raises(DegenerateKernelError):
-            steady_state_kernel(liouvillian_v(rm))
+            steady_state_kernel(liouvillian(rm))
 
     def test_trs_preserved_for_real_tensors(self):
         q = QubitSpec(model=V_SHAPED, dipole=np.array([1.0, 0.0, 0.0]))
-        rm = rate_matrices_v(q, ISO_PAIR)
-        state, _ = steady_state_kernel(liouvillian_v(rm), pure_state(1, 3))
+        rm = rate_matrices(q, ISO_PAIR)
+        state, _ = steady_state_kernel(liouvillian(rm), pure_state(1, 3))
         assert state.rho[1, 1].real == pytest.approx(state.rho[2, 2].real, abs=1e-10)
 
     def test_trs_broken_for_chiral_rates(self):
         rm = RateMatrices(loss=np.diag([0.0, 0.1]), gain=np.diag([0.075, 0.0]))
-        state, _ = steady_state_kernel(liouvillian_v(rm))
+        state, _ = steady_state_kernel(liouvillian(rm))
         assert abs(state.rho[1, 1].real - state.rho[2, 2].real) == pytest.approx(
             1.0, abs=1e-8
         )
@@ -425,13 +467,13 @@ class TestSteadyStates:
         rng = np.random.default_rng(9)
         for _ in range(20):
             rm = random_psd_rate_matrices(rng)
-            L = liouvillian_v(rm)
+            L = liouvillian(rm)
             try:
                 state, _ = steady_state_kernel(L, pure_state(0, 3))
             except DegenerateKernelError:
                 continue
-            res = np.linalg.norm(L.matrix @ state.rho.reshape(-1))
-            assert res <= 1e-9 * np.linalg.norm(L.matrix)
+            res = np.linalg.norm(L @ state.rho.reshape(-1))
+            assert res <= 1e-9 * np.linalg.norm(L)
 
 
 class TestLinearFamily:
@@ -486,7 +528,7 @@ class TestLinearFamily:
 
     def test_fit_evolved_states(self):
         rm = RateMatrices(loss=0.1 * np.ones((2, 2)), gain=0.05 * np.ones((2, 2)))
-        L = liouvillian_v(rm)
+        L = liouvillian(rm)
         final_g = evolve(L, pure_state(0, 3), 500.0, 1000).states[-1]
         theta, residual = fit_linear_family_theta(final_g, self.RATES)
         assert theta == pytest.approx(np.pi / 4, abs=1e-6)

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lindgain import (
     DomainError,
     DrudeParams,
+    InteractionTensorPair,
     ScalarPermittivitySplit,
     SingularityError,
     ValidationError,
@@ -53,6 +56,35 @@ class TestSpectralSplit:
         m[0, 1] = 1.0
         with pytest.raises(ValidationError):
             spectral_split(m)
+
+
+class TestToleranceScale:
+    """Hermiticity and the loss/gain split are judged relative to the norm of
+    the matrix, so tiny (slab) and large tensors are treated alike."""
+
+    NOT_HERMITIAN = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+
+    @given(st.integers(0, 2**32 - 1), st.floats(-30.0, 3.0))
+    def test_split_of_scaled_hermitian(self, seed, log_scale):
+        m = 10.0**log_scale * random_hermitian(np.random.default_rng(seed))
+        loss, gain = spectral_split(m)
+        tol = 1e-12 * np.linalg.norm(m)
+        np.testing.assert_allclose(loss + gain, m, rtol=0, atol=tol)
+        assert np.linalg.eigvalsh(loss).min() >= -tol
+        assert np.linalg.eigvalsh(gain).max() <= tol
+
+    @given(st.floats(-30.0, 3.0))
+    def test_scaled_non_hermitian_rejected(self, log_scale):
+        m = 10.0**log_scale * self.NOT_HERMITIAN
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            spectral_split(m)
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            InteractionTensorPair(m, m).validate()
+
+    def test_negative_eigenvalue_of_tiny_matrix_goes_to_gain(self):
+        loss, gain = spectral_split(1e-15 * np.diag([1.0, -1.0, 0.5]))
+        np.testing.assert_allclose(np.diag(loss).real, [1e-15, 0.0, 0.5e-15], rtol=0, atol=1e-27)
+        np.testing.assert_allclose(np.diag(gain).real, [0.0, -1e-15, 0.0], rtol=0, atol=1e-27)
 
 
 class TestDrude:
