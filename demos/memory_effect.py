@@ -10,7 +10,6 @@ import numpy as np
 
 from lindgain import (
     RateMatrices,
-    RatePair,
     evolve,
     fit_linear_family_theta,
     liouvillian,
@@ -19,12 +18,11 @@ from lindgain.cli import parse_initial_state
 
 rates = RateMatrices(loss=0.1 * np.ones((2, 2)), gain=0.05 * np.ones((2, 2)))
 L = liouvillian(rates)
-family = RatePair(gamma_loss=0.1, gamma_gain=0.05)
 
 for init in ("e1", "bright", "g"):
     rho0 = parse_initial_state(init, "v_shaped")
     final = evolve(L, rho0, 500.0, 2000).states[-1]
-    theta, residual = fit_linear_family_theta(final, family)
+    theta, residual = fit_linear_family_theta(final, rates)
     pops = np.diag(final.rho).real
     print(
         f"initial {init:>6}: populations {pops.round(6)}, "

@@ -27,7 +27,7 @@ print("gain tensor diagonal:", np.diag(pair.gain).real)
 
 qubit = QubitSpec(model="two_level", dipole=[1.0, 0.0, 0.0])
 rates = rate_matrices(qubit, pair)
-print(f"gamma_loss = {rates.gamma_loss:.6f}, gamma_gain = {rates.gamma_gain:.6f}")
+print(f"gamma_loss = {rates.loss[0, 0].real:.6f}, gamma_gain = {rates.gain[0, 0].real:.6f}")
 
 state, kdim = steady_state_kernel(liouvillian(rates))
 closed = steady_two_level_closed(rates)

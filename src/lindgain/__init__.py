@@ -26,7 +26,6 @@ from .greens import (
 )
 from .master import (
     DensityMatrix,
-    LinearFamilyState,
     QubitSpec,
     RateMatrices,
     RatePair,
@@ -36,6 +35,7 @@ from .master import (
     V_SHAPED,
     evolve,
     fit_linear_family_theta,
+    linear_family_rates,
     liouvillian,
     rate_matrices,
     steady_linear_family,

@@ -163,13 +163,15 @@ def _build_substrate(cfg: dict):
     return split, greens.SubstrateGeometry(z_a=_field(cfg, sub + "z_a", _real))
 
 
-def _build_slab(cfg: dict) -> greens.InteractionTensorPair:
+def _build_slab(cfg: dict, omega_a: float) -> greens.InteractionTensorPair:
+    """Channel tensors of the moving slab at the qubit's transition frequency."""
     slab = "environment.moving_slab."
     params = greens.SlabMotionParams(
         drude=DrudeParams(omega_sp=_field(cfg, slab + "omega_sp", _real)),
         v=_field(cfg, slab + "v", _real),
         geometry=greens.SubstrateGeometry(z_a=_field(cfg, slab + "z_a", _real)),
         g00=_field(cfg, slab + "g00", _real, default=0.0),
+        omega_a=omega_a,
     )
     mode = _field(cfg, slab + "mode", _choice({"exact", "asymptotic"}), default="exact")
     tensors = getattr(greens, f"moving_slab_tensors_{mode}")
@@ -199,7 +201,7 @@ def build_rate_model(cfg: dict) -> dict:
     if env_type == "isotropic_substrate":
         pair = greens.isotropic_gain_tensors(*_build_substrate(cfg))
     else:
-        pair = _build_slab(cfg)
+        pair = _build_slab(cfg, qubit.omega_a)
     pair_th = master.thermal(pair, occ)
     out["tensors"] = pair
     out["tensors_th"] = pair_th
@@ -358,21 +360,6 @@ def run_evolve(cfg: dict, out_dir: Path, quiet: bool = False) -> int:
     return 0
 
 
-def _linear_family_rates(rates: master.RateMatrices) -> master.RatePair | None:
-    """The scalar rates of the linear-polarization family, or None when the V
-    rates are not in it: each rate matrix must be a real scalar times the
-    all-ones matrix (relative to its own norm), and the loss scalar > 0."""
-    scalars = []
-    for m in (rates.loss, rates.gain):
-        a = float(m[0, 0].real)
-        if np.linalg.norm(m - a) > 1e-10 * np.linalg.norm(m):
-            return None
-        scalars.append(a)
-    if scalars[0] <= 0:
-        return None
-    return master.RatePair(gamma_loss=scalars[0], gamma_gain=scalars[1])
-
-
 def run_steady(cfg: dict, out_dir: Path, quiet: bool = False) -> int:
     model = build_rate_model(cfg)
     rates, qm = model["rates"], model["qubit"].model
@@ -390,9 +377,9 @@ def run_steady(cfg: dict, out_dir: Path, quiet: bool = False) -> int:
     if kdim == 1:
         closed = {1: master.steady_two_level_closed, 2: master.steady_v_closed}[rates.m](rates)
         record["closed_form_match"] = bool(np.max(np.abs(closed.rho - state.rho)) <= 1e-8)
-    elif rates.m == 2 and (scalar := _linear_family_rates(rates)) is not None:
+    elif rates.m == 2 and master.linear_family_rates(rates) is not None:
         # linear-polarization family: report the family parameter
-        theta, residual = master.fit_linear_family_theta(state, scalar)
+        theta, residual = master.fit_linear_family_theta(state, rates)
         record["theta"] = theta
         record["closed_form_match"] = bool(residual <= 1e-8)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -485,6 +472,8 @@ FIGURE_PRESETS = {
     "fig2c": (FIG2_RATES, "g"),
     "fig3a": (FIG3_RATES, "e2"),
 }
+# every figure name: the trajectory presets, then the steady-state sweep
+FIGURES = (*FIGURE_PRESETS, "fig3b")
 
 
 def fig3b_sweep(n_points: int = 64) -> np.ndarray:
@@ -500,19 +489,11 @@ def fig3b_sweep(n_points: int = 64) -> np.ndarray:
 
 
 def run_figure(name: str, out_dir: Path, quiet: bool = False) -> int:
-    if name != "fig3b" and name not in FIGURE_PRESETS:
+    if name not in FIGURES:
         raise ValidationError(f"unknown figure preset {name!r}")
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{name}.csv"
-    if name == "fig3b":
-        data = fig3b_sweep()
-        pops = _populations(master.V_LABELS, data[:, 1:])
-        _write_csv(csv_path, {"n": data[:, 0], **pops})
-        series = [(label, data[:, 0], p) for label, p in pops.items()]
-        (out_dir / "fig3b.svg").write_text(
-            _svg_line_chart(series, "log10 occupation", "population", logx=True)
-        )
-    else:
+    if name in FIGURE_PRESETS:
         rates, init = FIGURE_PRESETS[name]
         rho0 = parse_initial_state(init, master.V_SHAPED)
         traj = master.evolve(
@@ -520,6 +501,14 @@ def run_figure(name: str, out_dir: Path, quiet: bool = False) -> int:
         )
         write_trajectory_csv(csv_path, traj)
         _plot_trajectory(out_dir / f"{name}.svg", traj)
+    else:
+        data = fig3b_sweep()
+        pops = _populations(master.V_LABELS, data[:, 1:])
+        _write_csv(csv_path, {"n": data[:, 0], **pops})
+        series = [(label, data[:, 0], p) for label, p in pops.items()]
+        (out_dir / f"{name}.svg").write_text(
+            _svg_line_chart(series, "log10 occupation", "population", logx=True)
+        )
     if not quiet:
         print(f"wrote {csv_path}")
     return 0
@@ -563,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".")
 
     p = sub.add_parser("figure", help="reproduce a figure preset", parents=[common])
-    p.add_argument("name", choices=["fig2a", "fig2b", "fig2c", "fig3a", "fig3b"])
+    p.add_argument("name", choices=FIGURES)
     p.add_argument("--out", default=".")
     return parser
 

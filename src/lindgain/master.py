@@ -113,20 +113,12 @@ class RateMatrices:
 
 
 class RatePair(RateMatrices):
-    """Scalar loss/gain rate constants of the two-level system (units of
-    the transition frequency): the 1x1 case of :class:`RateMatrices`."""
+    """The 1x1 :class:`RateMatrices` of the two-level system, built from the
+    scalar loss/gain rate constants (units of the transition frequency)."""
 
     def __init__(self, gamma_loss, gamma_gain):
         # a number or a 1x1 array, so that thermal() can rebuild one
         super().__init__(np.reshape(gamma_loss, (1, 1)), np.reshape(gamma_gain, (1, 1)))
-
-    @property
-    def gamma_loss(self) -> float:
-        return float(self.loss[0, 0].real)
-
-    @property
-    def gamma_gain(self) -> float:
-        return float(self.gain[0, 0].real)
 
 
 def _check_states(rho: np.ndarray, times: np.ndarray | None = None):
@@ -219,14 +211,13 @@ def thermal(pair, occ: ThermalOccupation):
 
 def rate_matrices(q: QubitSpec, pair: InteractionTensorPair) -> RateMatrices:
     """Kossakowski matrices Gamma_{a,ij} = 2 gamma_i^* . G_a . gamma_j over
-    the transition dipoles gamma_i of the qubit, (m, m) for m excited levels;
-    a :class:`RatePair` for the two-level qubit."""
+    the transition dipoles gamma_i of the qubit, (m, m) for m excited levels."""
     g = q.dipoles
     loss, gain = (
         np.array([[2.0 * (gi.conj() @ t @ gj) for gj in g] for gi in g])
         for t in (pair.loss, pair.gain)
     )
-    return (RatePair if len(g) == 1 else RateMatrices)(loss, gain)
+    return RateMatrices(loss, gain)
 
 
 def _sandwich(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -389,46 +380,49 @@ def steady_v_closed(rates: RateMatrices) -> DensityMatrix:
     return DensityMatrix(rho, V_LABELS)
 
 
-@dataclass
-class LinearFamilyState:
-    """Member of the one-parameter steady-state family of the
-    linear-polarization V system.  ``physical`` is False when the matrix is
-    not PSD (family parameter beyond pi/4)."""
-
-    rho: np.ndarray
-    theta: float
-    physical: bool
-
-    def as_density_matrix(self) -> DensityMatrix:
-        return DensityMatrix(self.rho, V_LABELS)
-
-
 THETA_MIN = -np.pi / 4
 THETA_MAX = np.pi / 2
 
 
-def steady_linear_family(theta: float, rates: RatePair) -> LinearFamilyState:
-    """One-parameter family of steady states for linearly polarized dipoles.
+def linear_family_rates(rates: RateMatrices) -> tuple[float, float] | None:
+    """The scalar loss/gain rates (gl, gg) of the linear-polarization family,
+    or None when the rates are not in it.  Each rate matrix must be a real
+    scalar times the all-ones matrix, relative to its own norm (1x1 rates
+    always are), and gl > 0."""
+    scalars = []
+    for m in (rates.loss, rates.gain):
+        a = float(m[0, 0].real)
+        if np.linalg.norm(m - a) > 1e-10 * np.linalg.norm(m):
+            return None
+        scalars.append(a)
+    return tuple(scalars) if scalars[0] > 0 else None
 
-    theta in [-pi/4, pi/2]; members beyond pi/4 have |coherence| exceeding the
-    excited populations and are flagged non-physical.
+
+def steady_linear_family(theta: float, rates: RateMatrices) -> np.ndarray:
+    """Member of the one-parameter family of steady states for linearly
+    polarized dipoles, as a complex (3, 3) array.
+
+    ``rates`` are the V-shaped family rates or the 1x1 rates of their scalars
+    (see :func:`linear_family_rates`); other rates raise ValidationError.
+    theta in [-pi/4, pi/2]; members beyond pi/4 have |coherence| exceeding
+    the excited populations, so :class:`DensityMatrix` rejects them.
     """
     if not (THETA_MIN - 1e-12 <= theta <= THETA_MAX + 1e-12):
         raise DomainError("theta outside [-pi/4, pi/2]")
-    if rates.gamma_loss <= 0:
-        raise DomainError("gamma_loss must be > 0")
-    gl, gg = rates.gamma_loss, rates.gamma_gain
+    scalars = linear_family_rates(rates)
+    if scalars is None:
+        raise ValidationError("rates are not in the linear-polarization family")
+    gl, gg = scalars
     denom = gl * np.sqrt(2.0) * np.cos(theta - np.pi / 4) + 2.0 * gg * np.cos(theta)
     rho = np.zeros((3, 3), dtype=complex)
     rho[0, 0] = gl * np.sqrt(2.0) * np.cos(theta - np.pi / 4) / denom
     rho[1, 1] = rho[2, 2] = gg * np.cos(theta) / denom
     rho[1, 2] = rho[2, 1] = gg * np.sin(theta) / denom
-    physical = theta <= np.pi / 4 + 1e-12
-    return LinearFamilyState(rho=rho, theta=float(theta), physical=physical)
+    return rho
 
 
 def fit_linear_family_theta(
-    rho: DensityMatrix, rates: RatePair
+    rho: DensityMatrix, rates: RateMatrices
 ) -> tuple[float, float]:
     """Recover the family parameter of a linear-polarization steady state and
     the residual of the membership check."""
@@ -440,5 +434,5 @@ def fit_linear_family_theta(
             "state is not a member of the linear-polarization family"
         )
     member = steady_linear_family(np.clip(theta, THETA_MIN, THETA_MAX), rates)
-    residual = float(np.max(np.abs(rho.rho - member.rho)))
+    residual = float(np.max(np.abs(rho.rho - member)))
     return theta, residual

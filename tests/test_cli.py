@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from lindgain import greens
+from lindgain import DrudeParams, RateMatrices, greens
 from lindgain.cli import build_rate_model, main
 
 SUBSTRATE_CFG = {
@@ -250,6 +250,53 @@ def test_slab_tensor_function_looked_up_when_called(monkeypatch, mode):
     }
     build_rate_model(cfg)
     assert calls == [f"moving_slab_tensors_{mode}"]
+
+
+def _slab_rates(tmp_path, omega_a, omega_sp):
+    cfg = {
+        "qubit": {"model": "v_shaped", "omega_a": omega_a},
+        "environment": {"moving_slab": {**SLAB, "omega_sp": omega_sp}},
+    }
+    rc = main(["rates", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path),
+               "--quiet"])
+    return rc, tmp_path / "rates.json"
+
+
+def test_slab_channels_use_the_qubit_frequency(tmp_path):
+    rc, path = _slab_rates(tmp_path, 1.3, 2.0)
+    assert rc == 0
+    record = json.loads(path.read_text())
+    params = greens.SlabMotionParams(
+        drude=DrudeParams(omega_sp=2.0), v=SLAB["v"],
+        geometry=greens.SubstrateGeometry(z_a=SLAB["z_a"]), omega_a=1.3,
+    )
+    exact = greens.moving_slab_tensors_exact(params)
+    oracle = greens.moving_slab_quadrature_oracle(params)
+    for channel in ("loss", "gain"):
+        got = np.array(record[f"tensor_{channel}"]["real"]) + 1j * np.array(
+            record[f"tensor_{channel}"]["imag"]
+        )
+        np.testing.assert_array_equal(got, getattr(exact, channel))
+        np.testing.assert_allclose(got, getattr(oracle, channel), atol=1e-6)
+
+
+@pytest.mark.parametrize(
+    "omega_a, omega_sp, code", [(2.0, 2.0, 4), (1.3, 1.0, 0)], ids=["k_loss_zero", "omega_sp_1"]
+)
+def test_slab_resonance_is_at_the_qubit_frequency(tmp_path, omega_a, omega_sp, code):
+    rc, _ = _slab_rates(tmp_path, omega_a, omega_sp)
+    assert rc == code
+
+
+@pytest.mark.parametrize(
+    "environment",
+    [SUBSTRATE_CFG["environment"], {"abstract_rates": {"gamma_l": 0.1, "gamma_g": 0.05}}],
+    ids=["isotropic_substrate", "abstract_rates"],
+)
+def test_two_level_rates_are_one_type(environment):
+    model = build_rate_model({"qubit": {"model": "two_level"}, "environment": environment})
+    assert type(model["rates"]) is RateMatrices
+    assert model["rates"].m == 1
 
 
 class TestSteady:

@@ -23,6 +23,7 @@ from lindgain import (
     evolve,
     fit_linear_family_theta,
     isotropic_gain_tensors,
+    linear_family_rates,
     liouvillian,
     moving_slab_tensors_asymptotic,
     rate_matrices,
@@ -99,7 +100,9 @@ class TestThermalMixing:
 
     def test_rate_pair_keeps_scalar_rates(self):
         th = thermal(RatePair(0.3, 0.1), ThermalOccupation(0.5))
-        assert (th.gamma_loss, th.gamma_gain) == (1.5 * 0.3 + 0.5 * 0.1, 1.5 * 0.1 + 0.5 * 0.3)
+        assert (th.loss[0, 0].real, th.gain[0, 0].real) == (
+            1.5 * 0.3 + 0.5 * 0.1, 1.5 * 0.1 + 0.5 * 0.3
+        )
 
 
 class TestRates:
@@ -110,21 +113,21 @@ class TestRates:
             gain=np.zeros((3, 3), dtype=complex),
         )
         rp = rate_matrices(q, pair)
-        assert rp.gamma_loss == pytest.approx(0.4)
+        assert rp.loss[0, 0].real == pytest.approx(0.4)
 
     def test_quadratic_scaling(self):
         q1 = QubitSpec(model=TWO_LEVEL, dipole=np.array([1.0, 0.0, 0.0]))
         q2 = QubitSpec(model=TWO_LEVEL, dipole=np.array([2.0, 0.0, 0.0]))
         r1 = rate_matrices(q1, ISO_PAIR)
         r2 = rate_matrices(q2, ISO_PAIR)
-        assert r2.gamma_loss == pytest.approx(4.0 * r1.gamma_loss)
-        assert r2.gamma_gain == pytest.approx(4.0 * r1.gamma_gain)
+        assert r2.loss[0, 0].real == pytest.approx(4.0 * r1.loss[0, 0].real)
+        assert r2.gain[0, 0].real == pytest.approx(4.0 * r1.gain[0, 0].real)
 
     def test_substrate_reference_values(self):
         q = QubitSpec(model=TWO_LEVEL, dipole=np.array([1.0, 0.0, 0.0]))
         rp = rate_matrices(q, ISO_PAIR)
-        assert rp.gamma_loss == pytest.approx(0.29842, rel=1e-4)
-        assert rp.gamma_gain == pytest.approx(0.099472, rel=1e-4)
+        assert rp.loss[0, 0].real == pytest.approx(0.29842, rel=1e-4)
+        assert rp.gain[0, 0].real == pytest.approx(0.099472, rel=1e-4)
 
     @given(st.integers(0, 2**32 - 1), st.floats(-30.0, 3.0), st.floats(-30.0, 3.0))
     def test_two_level_is_first_v_channel(self, seed, log_loss, log_gain):
@@ -146,12 +149,12 @@ class TestRates:
             steady_two_level_closed(one).rho, steady_two_level_closed(scalar).rho
         )
 
-    def test_two_level_rates_are_a_rate_pair(self):
+    def test_both_models_give_rate_matrices(self):
         q = QubitSpec(model=TWO_LEVEL, dipole=np.array([1.0, 0.0, 0.0]))
-        assert type(rate_matrices(q, ISO_PAIR)) is RatePair
-        assert type(rate_matrices(QubitSpec(model=V_SHAPED, dipole=q.dipole), ISO_PAIR)) is (
-            RateMatrices
-        )
+        two = rate_matrices(q, ISO_PAIR)
+        v = rate_matrices(QubitSpec(model=V_SHAPED, dipole=q.dipole), ISO_PAIR)
+        assert type(two) is type(v) is RateMatrices
+        assert (two.m, v.m) == (1, 2)
 
     def test_linear_polarization_structure(self):
         q = QubitSpec(model=V_SHAPED, dipole=np.array([1.0, 0.0, 0.0]))
@@ -482,36 +485,37 @@ class TestLinearFamily:
     def test_theta_zero(self):
         st = steady_linear_family(0.0, self.RATES)
         gl, gg = 0.1, 0.05
-        assert st.rho[0, 0].real == pytest.approx(gl / (gl + 2 * gg))
-        assert st.rho[1, 1].real == pytest.approx(gg / (gl + 2 * gg))
-        assert st.rho[1, 2] == 0.0
-        assert st.physical
+        assert st[0, 0].real == pytest.approx(gl / (gl + 2 * gg))
+        assert st[1, 1].real == pytest.approx(gg / (gl + 2 * gg))
+        assert st[1, 2] == 0.0
+        DensityMatrix(st, V_LABELS)
 
     def test_theta_pi_over_4(self):
         st = steady_linear_family(np.pi / 4, self.RATES)
-        assert st.rho[0, 0].real == pytest.approx(2 / 3, abs=1e-12)
-        assert st.rho[1, 1].real == pytest.approx(1 / 6, abs=1e-12)
-        assert st.rho[1, 2].real == pytest.approx(1 / 6, abs=1e-12)
+        assert st[0, 0].real == pytest.approx(2 / 3, abs=1e-12)
+        assert st[1, 1].real == pytest.approx(1 / 6, abs=1e-12)
+        assert st[1, 2].real == pytest.approx(1 / 6, abs=1e-12)
 
     def test_theta_dark_sector(self):
         st = steady_linear_family(np.arctan(-0.5), self.RATES)
-        assert st.rho[0, 0].real == pytest.approx(1 / 3, abs=1e-12)
-        assert st.rho[1, 1].real == pytest.approx(1 / 3, abs=1e-12)
-        assert st.rho[1, 2].real == pytest.approx(-1 / 6, abs=1e-12)
+        assert st[0, 0].real == pytest.approx(1 / 3, abs=1e-12)
+        assert st[1, 1].real == pytest.approx(1 / 3, abs=1e-12)
+        assert st[1, 2].real == pytest.approx(-1 / 6, abs=1e-12)
 
     def test_unit_trace(self):
         for theta in np.linspace(-np.pi / 4, np.pi / 2, 17):
             st = steady_linear_family(theta, self.RATES)
-            assert np.trace(st.rho).real == pytest.approx(1.0, abs=1e-14)
+            assert np.trace(st).real == pytest.approx(1.0, abs=1e-14)
 
     def test_nonphysical_flagged(self):
         st = steady_linear_family(1.2, self.RATES)
-        assert not st.physical
-        assert np.linalg.eigvalsh(st.rho).min() < 0
+        with pytest.raises(NumericalInstabilityError):
+            DensityMatrix(st, V_LABELS)
+        assert np.linalg.eigvalsh(st).min() < 0
 
     def test_nonphysical_member_is_not_a_density_matrix(self):
         with pytest.raises(NumericalInstabilityError, match="negative eigenvalue"):
-            steady_linear_family(1.2, self.RATES).as_density_matrix()
+            DensityMatrix(steady_linear_family(1.2, self.RATES), V_LABELS)
 
     def test_out_of_range(self):
         with pytest.raises(DomainError):
@@ -521,7 +525,7 @@ class TestLinearFamily:
         for theta0 in (-0.5, 0.0, 0.3, 0.78):
             st = steady_linear_family(theta0, self.RATES)
             theta, residual = fit_linear_family_theta(
-                st.as_density_matrix(), self.RATES
+                DensityMatrix(st, V_LABELS), self.RATES
             )
             assert theta == pytest.approx(theta0, abs=1e-10)
             assert residual <= 1e-12
@@ -537,3 +541,33 @@ class TestLinearFamily:
         theta, residual = fit_linear_family_theta(final_e1, self.RATES)
         assert theta == pytest.approx(np.arctan(-0.5), abs=1e-6)
         assert residual <= 1e-8
+
+    @given(
+        st.floats(-30.0, 3.0),
+        st.floats(0.0, 1.0),
+        st.floats(-np.pi / 4, np.pi / 4),
+    )
+    def test_family_rates_or_their_scalars(self, log_gl, ratio, theta):
+        gl = 10.0**log_gl
+        gg = ratio * gl
+        ones = np.ones((2, 2))
+        family = RateMatrices(gl * ones, gg * ones)
+        scalar = RatePair(gl, gg)
+        assert linear_family_rates(family) == linear_family_rates(scalar) == (gl, gg)
+        member = steady_linear_family(theta, family)
+        np.testing.assert_array_equal(member, steady_linear_family(theta, scalar))
+        for rates in (family, scalar):
+            fit, residual = fit_linear_family_theta(DensityMatrix(member, V_LABELS), rates)
+            assert residual <= 1e-12
+            # theta shapes only the excited block, which vanishes with gg
+            if ratio >= 1e-12:
+                assert fit == pytest.approx(theta, abs=1e-9)
+
+    def test_rates_outside_the_family_rejected(self):
+        fig3 = RateMatrices(np.diag([0.1, 0.175]), np.diag([0.075, 0.0]))
+        assert linear_family_rates(fig3) is None
+        member = DensityMatrix(steady_linear_family(0.3, self.RATES), V_LABELS)
+        with pytest.raises(ValidationError, match="rates are not in"):
+            steady_linear_family(0.3, fig3)
+        with pytest.raises(ValidationError, match="rates are not in"):
+            fit_linear_family_theta(member, fig3)
