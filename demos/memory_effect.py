@@ -9,6 +9,7 @@ steady-state family.
 import numpy as np
 
 from lindgain import (
+    DensityMatrix,
     RateMatrices,
     evolve,
     fit_linear_family_theta,
@@ -21,12 +22,13 @@ L = liouvillian(rates)
 
 for init in ("e1", "bright", "g"):
     rho0 = parse_initial_state(init, "v_shaped")
-    final = evolve(L, rho0, 500.0, 2000).states[-1]
-    theta, residual = fit_linear_family_theta(final, rates)
-    pops = np.diag(final.rho).real
+    traj = evolve(L, rho0, 500.0, 2000)
+    final = traj.rho[-1]
+    theta, residual = fit_linear_family_theta(DensityMatrix(final, traj.labels), rates)
+    pops = np.diag(final).real
     print(
         f"initial {init:>6}: populations {pops.round(6)}, "
-        f"coherence {final.rho[1, 2].real:+.6f}, "
+        f"coherence {final[1, 2].real:+.6f}, "
         f"theta = {theta:+.6f} (residual {residual:.1e})"
     )
 

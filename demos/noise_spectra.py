@@ -19,7 +19,7 @@ active = ScalarPermittivitySplit(eps=-1 + 0.2j, eps_loss=0.3, eps_gain=-0.1)
 passive = ScalarPermittivitySplit(eps=-1 + 0.3j, eps_loss=0.3, eps_gain=0.0)
 
 pt = field_spectrum(active, geom, omega=1.0, n_omega=0.0)
-print("field spectrum diagonal at zero occupation:", np.diag(pt.tensor).real)
+print("field spectrum diagonal at zero occupation:", np.diag(pt).real)
 
 for label, split in (("passive", passive), ("active ", active)):
     s = noise_current_spectrum(split, omega=1.0, n_omega=0.0)

@@ -1,6 +1,6 @@
 """Irreversible qubit dynamics in structured-gain photonic environments."""
 
-from .correlations import SpectralPoint, field_spectrum, noise_current_spectrum
+from .correlations import field_spectrum, noise_current_spectrum
 from .errors import (
     DegenerateKernelError,
     DomainError,

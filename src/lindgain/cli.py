@@ -441,7 +441,7 @@ def run_spectrum(
         if n_points > 1
         else np.array([omega_min])
     )
-    s = correlations.field_spectrum(split, geom, omega_min, n_omega).tensor.real
+    s = correlations.field_spectrum(split, geom, omega_min, n_omega).real
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "spectrum.csv"
     _write_csv(path, {
@@ -523,15 +523,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog=PROG,
         description="Qubit dynamics in structured-gain photonic environments",
     )
-    parser.add_argument(
-        "--parallel", action="store_true", help="accepted for compatibility; no effect"
-    )
     parser.add_argument("--quiet", action="store_true", help="suppress status output")
     # also accepted after the subcommand; SUPPRESS keeps the global value
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--parallel", action="store_true", default=argparse.SUPPRESS
-    )
     common.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -7,8 +7,6 @@ evaluation receives the split already resolved at the requested frequency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError
@@ -16,32 +14,23 @@ from .greens import SubstrateGeometry, isotropic_gain_tensors
 from .material import ScalarPermittivitySplit
 
 
-@dataclass
-class SpectralPoint:
-    """Symmetrized field spectral density tensor at one frequency."""
-
-    omega: float
-    occupation: float
-    tensor: np.ndarray
-
-
 def field_spectrum(
     split_at_omega: ScalarPermittivitySplit,
     geom: SubstrateGeometry,
     omega: float,
     n_omega: float,
-) -> SpectralPoint:
+) -> np.ndarray:
     """Unilateral spectral density (2/pi)(N + 1/2)(G_L + G_G) at the qubit
-    position.  Loss and gain channels ADD here: the sign carried by the gain
-    response is absorbed into the definition of the gain tensor, which is PSD.
+    position, as a complex (3, 3) tensor.  Loss and gain channels ADD here:
+    the sign carried by the gain response is absorbed into the definition of
+    the gain tensor, which is PSD.
     """
     if omega <= 0:
         raise DomainError("omega must be > 0")
     if n_omega < 0:
         raise DomainError("occupation must be >= 0")
     pair = isotropic_gain_tensors(split_at_omega, geom)
-    tensor = (2.0 / np.pi) * (n_omega + 0.5) * (pair.loss + pair.gain)
-    return SpectralPoint(omega=float(omega), occupation=float(n_omega), tensor=tensor)
+    return (2.0 / np.pi) * (n_omega + 0.5) * (pair.loss + pair.gain)
 
 
 def noise_current_spectrum(

@@ -90,6 +90,10 @@ class RateMatrices:
             raise ValidationError("rate matrices must both be 1x1 or both 2x2")
         # one stack, each matrix relative to its own norm: rates span many decades
         mats = np.array([self.loss, self.gain], dtype=complex)
+        # before any arithmetic: NaN fails no comparison below
+        if not np.isfinite(mats).all():
+            name = "gain" if np.isfinite(mats[0]).all() else "loss"
+            raise ValidationError(f"{name} rate matrix has non-finite entries")
         adj = mats.conj().transpose(0, 2, 1)
         norm = np.linalg.norm(mats, axis=(1, 2))
         asym = np.abs(mats - adj).max(axis=(1, 2))
@@ -168,19 +172,6 @@ class DensityMatrix:
             raise ValidationError("state shape does not match labels")
         _check_states(self.rho[None])
 
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.rho).real)
-
-    @property
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(0.5 * (self.rho + self.rho.conj().T)).min())
-
-    def validate(self) -> "DensityMatrix":
-        """Re-check the state, e.g. after ``rho`` was changed in place."""
-        _check_states(self.rho[None])
-        return self
-
 
 @dataclass
 class Trajectory:
@@ -192,11 +183,6 @@ class Trajectory:
     labels: tuple
     trace: np.ndarray
     min_eigenvalue: np.ndarray
-
-    @functools.cached_property
-    def states(self) -> list[DensityMatrix]:
-        """The rows of ``rho`` as density matrices (views, built once)."""
-        return [DensityMatrix(r, self.labels) for r in self.rho]
 
 
 def thermal(pair, occ: ThermalOccupation):
@@ -426,6 +412,9 @@ def fit_linear_family_theta(
 ) -> tuple[float, float]:
     """Recover the family parameter of a linear-polarization steady state and
     the residual of the membership check."""
+    dim = len(rho.rho)
+    if dim != 3:
+        raise ValidationError(f"fit_linear_family_theta needs a 3x3 state, got {dim}x{dim}")
     p11 = rho.rho[1, 1].real
     coh = rho.rho[1, 2].real
     theta = float(np.arctan2(coh, p11))

@@ -234,6 +234,27 @@ def test_not_completely_positive_rates_name_their_field(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, model",
+    [("steady", "two_level"), ("rates", "two_level"), ("evolve", "v_shaped")],
+)
+def test_overflowing_thermal_rates_rejected(tmp_path, capsys, command, model):
+    """Finite config values whose thermal mix overflows give infinite rates,
+    a config error that writes nothing."""
+    cfg = {
+        "qubit": {"model": model},
+        "thermal": {"occupation": 1e300},
+        "environment": {"abstract_rates": {"gamma_l": 1e10, "gamma_g": 0.1}},
+        "evolution": {"t_max": 1.0, "n_steps": 4, "initial_state": "g"},
+    }
+    out = tmp_path / "out"
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        rc = main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out), "--quiet"])
+    assert rc == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mode", ["exact", "asymptotic"])
 def test_slab_tensor_function_looked_up_when_called(monkeypatch, mode):
     """The CLI calls the slab tensor function that lindgain.greens holds when
@@ -457,14 +478,6 @@ class TestFigurePresets:
             data[0, 1:], [4 / 7, 3 / 7, 0.0], atol=1e-2
         )
         np.testing.assert_allclose(data[-1, 1:], 1 / 3, atol=1e-2)
-
-    def test_parallel_matches_serial(self, tmp_path):
-        assert main(["figure", "fig3b", "--out", str(tmp_path / "s"), "--quiet"]) == 0
-        assert main(["--parallel", "figure", "fig3b", "--out",
-                     str(tmp_path / "p"), "--quiet"]) == 0
-        assert (tmp_path / "s" / "fig3b.csv").read_bytes() == (
-            tmp_path / "p" / "fig3b.csv"
-        ).read_bytes()
 
     def test_determinism(self, tmp_path):
         for d in ("a", "b"):

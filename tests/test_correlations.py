@@ -23,30 +23,30 @@ class TestFieldSpectrum:
         r = quasistatic_reflection(split.eps)
         anti = -r.imag * np.diag([1.0, 1.0, 2.0]) / (4 * np.pi * (2 * GEOM.z_a) ** 3)
         expect = (2.0 / np.pi) * (0.7 + 0.5) * anti
-        np.testing.assert_allclose(pt.tensor, expect, atol=1e-10)
+        np.testing.assert_allclose(pt, expect, atol=1e-10)
 
     def test_zero_point_factor(self):
         pt = field_spectrum(SPLIT, GEOM, omega=1.0, n_omega=0.0)
         pair = isotropic_gain_tensors(SPLIT, GEOM)
         expect = (2.0 / np.pi) * 0.5 * (pair.loss + pair.gain)
-        np.testing.assert_allclose(pt.tensor, expect, atol=1e-15)
+        np.testing.assert_allclose(pt, expect, atol=1e-15)
 
     def test_linear_in_occupation(self):
-        a = field_spectrum(SPLIT, GEOM, 1.0, 0.25).tensor  # n + 1/2 = 0.75
-        b = field_spectrum(SPLIT, GEOM, 1.0, 1.0).tensor  # n + 1/2 = 1.5
+        a = field_spectrum(SPLIT, GEOM, 1.0, 0.25)  # n + 1/2 = 0.75
+        b = field_spectrum(SPLIT, GEOM, 1.0, 1.0)  # n + 1/2 = 1.5
         np.testing.assert_allclose(b, 2.0 * a, rtol=1e-13)
 
     def test_hermitian_psd(self):
         pt = field_spectrum(SPLIT, GEOM, 1.0, 0.3)
-        np.testing.assert_allclose(pt.tensor, pt.tensor.conj().T, atol=1e-14)
-        assert np.linalg.eigvalsh(pt.tensor).min() >= 0.0
+        np.testing.assert_allclose(pt, pt.conj().T, atol=1e-14)
+        assert np.linalg.eigvalsh(pt).min() >= 0.0
 
     def test_consistency_with_identity(self):
         # subtracting twice the gain part recovers the loss-minus-gain form
         pair = isotropic_gain_tensors(SPLIT, GEOM)
         pt = field_spectrum(SPLIT, GEOM, 1.0, 0.4)
         pref = (2.0 / np.pi) * (0.4 + 0.5)
-        lhs = pt.tensor - 2.0 * pref * pair.gain
+        lhs = pt - 2.0 * pref * pair.gain
         r = quasistatic_reflection(SPLIT.eps)
         rhs = (
             pref
