@@ -40,6 +40,7 @@ from .master import (
     rate_matrices,
     steady_linear_family,
     steady_state_kernel,
+    steady_states,
     steady_two_level_closed,
     steady_v_closed,
     thermal,

@@ -12,7 +12,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eig, expm
+from scipy.linalg import expm
 
 from .errors import (
     DegenerateKernelError,
@@ -72,8 +72,9 @@ class ThermalOccupation:
     n: float
 
     def __post_init__(self):
-        if self.n < 0:
-            raise DomainError("occupation must be >= 0")
+        # written so that NaN fails it
+        if not 0.0 <= self.n < np.inf:
+            raise DomainError(f"occupation must be finite and >= 0, got {self.n}")
 
 
 @dataclass(frozen=True)
@@ -286,40 +287,114 @@ def evolve(
     return Trajectory(times, rho, LABELS[dim], *_check_states(rho, times))
 
 
+@functools.cache
+def _zero_frequency_block(dim: int) -> tuple[np.ndarray, ...]:
+    """Where the kernel of a generator over d x d states lies.  The
+    commutator [E, .] is diagonal, and every dissipator commutes with it
+    because all excited levels share one frequency, so the kernel lies in
+    its zero-frequency block: the entries of the state whose two levels are
+    both ground or both excited.  Returns the block's indices in the
+    vectorized state, the indices of the block's entries in the flattened
+    generator, the trace row vec(I) on the block, and the indices of the
+    generator entries that couple the block to the rest.  Cached, hence
+    read-only."""
+    zero = np.diag(_superoperators(dim - 1)[0]) == 0
+    block = np.flatnonzero(zero)
+    entries = (block[:, None] * dim**2 + block).reshape(-1)
+    trace_row = np.eye(dim).reshape(-1)[block]
+    coupling = np.flatnonzero(zero[:, None] != zero[None, :])
+    out = (block, entries, trace_row, coupling)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _kernel_states(Ls: np.ndarray, rho0: DensityMatrix | None) -> tuple[np.ndarray, np.ndarray]:
+    """The work of :func:`steady_states`, without the state check."""
+    Ls = np.asarray(Ls)
+    if Ls.ndim == 0 or len(Ls) == 0:
+        raise ValidationError(f"generators must be a nonempty stack, got shape {Ls.shape}")
+    n, dim = len(Ls), _state_dim(Ls[0])
+    if rho0 is not None and rho0.rho.shape != (dim, dim):
+        raise ValidationError("initial state dimension does not match generator")
+    flat = Ls.reshape(n, -1)
+    if not np.isfinite(flat).all():
+        raise NumericalInstabilityError("generator has non-finite entries")
+    block, entries, trace_row, coupling = _zero_frequency_block(dim)
+    if flat[:, coupling].any():
+        raise NumericalInstabilityError(
+            "generator couples the zero-frequency block to the rest: "
+            "the excited levels do not share one frequency"
+        )
+    k = len(block)
+    blocks = flat[:, entries].reshape(n, k, k)
+    sv = np.linalg.svd(blocks, compute_uv=False)
+    kdims = (sv <= KERNEL_TOL * sv[:, :1]).sum(axis=1)
+    if not kdims.all():
+        raise SpectralToleranceError("no kernel vector found within spectral tolerance")
+    unique = kdims == 1
+    vecs = np.zeros((n, k), dtype=complex)
+    eqs = blocks[unique]
+    if len(eqs):
+        # the trace condition replaces the population equation of g, which
+        # trace preservation makes redundant
+        eqs[:, 0] = trace_row
+        rhs = np.zeros((len(eqs), k, 1))
+        rhs[:, 0] = 1.0
+        # a 3-d right-hand side: numpy 2 reads a 2-d one differently from 1.x
+        try:
+            vecs[unique] = np.linalg.solve(eqs, rhs)[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise SpectralToleranceError("kernel state has vanishing trace") from exc
+    for i in np.flatnonzero(~unique):
+        if rho0 is None:
+            raise DegenerateKernelError(
+                f"kernel dimension {kdims[i]}: an initial state is required to "
+                "select the steady state"
+            )
+        # singular vectors only where they are needed
+        u, _, vh = np.linalg.svd(blocks[i])
+        right = vh[-kdims[i]:].conj().T
+        conserved = u[:, -kdims[i]:].conj().T
+        vec = right @ np.linalg.solve(conserved @ right, conserved @ rho0.rho.reshape(-1)[block])
+        tr = (trace_row @ vec).real
+        if abs(tr) < 1e-14:
+            raise SpectralToleranceError("kernel state has vanishing trace")
+        vecs[i] = vec / tr
+    rho = np.zeros((n, dim * dim), dtype=complex)
+    rho[:, block] = vecs
+    rho = rho.reshape(n, dim, dim)
+    return 0.5 * (rho + rho.conj().transpose(0, 2, 1)), kdims
+
+
+def steady_states(
+    Ls: np.ndarray, rho0: DensityMatrix | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Steady states of an (n, d^2, d^2) stack of generators, as an
+    (n, d, d) array, and the (n,) kernel dimensions.
+
+    Only the zero-frequency block of each generator is solved, so omega_a
+    plays no part.  A singular value of the block counts as kernel when it
+    is at most KERNEL_TOL times the largest, a scale set by the dissipative
+    rates alone; an all-zero block is all kernel.  A unique kernel is solved
+    with the trace condition in place of one equation, in one stacked solve
+    for all such points.  A degenerate kernel needs ``rho0``, or raises
+    DegenerateKernelError: its conserved quantities, the left singular
+    vectors, fix the coefficients of the right ones (biorthogonal
+    projection).  The states are checked as a :class:`DensityMatrix` is.
+    """
+    rho, kdims = _kernel_states(Ls, rho0)
+    _check_states(rho)
+    return rho, kdims
+
+
 def steady_state_kernel(
     L: np.ndarray, rho0: DensityMatrix | None = None
 ) -> tuple[DensityMatrix, int]:
-    """Steady state from the null space of the generator.
-
-    A unique kernel vector is trace-normalized directly; a degenerate kernel
-    is resolved by biorthogonal projection of the required initial state onto
-    the right kernel basis.
-    """
-    dim = _state_dim(L)
-    vals, vl, vr = eig(L, left=True, right=True)
-    scale = np.max(np.abs(vals)) if np.max(np.abs(vals)) > 0 else 1.0
-    idx = np.where(np.abs(vals) <= KERNEL_TOL * scale)[0]
-    kdim = len(idx)
-    if kdim == 0:
-        raise SpectralToleranceError("no kernel vector found within spectral tolerance")
-    if kdim == 1:
-        rho = vr[:, idx[0]].reshape(dim, dim)
-    else:
-        if rho0 is None:
-            raise DegenerateKernelError(
-                f"kernel dimension {kdim}: an initial state is required to "
-                "select the steady state"
-            )
-        r = vr[:, idx]
-        lmat = vl[:, idx]
-        overlap = lmat.conj().T @ r
-        coeff = np.linalg.solve(overlap, lmat.conj().T @ rho0.rho.reshape(-1))
-        rho = (r @ coeff).reshape(dim, dim)
-    rho = 0.5 * (rho + rho.conj().T)
-    tr = np.trace(rho).real
-    if abs(tr) < 1e-14:
-        raise SpectralToleranceError("kernel state has vanishing trace")
-    return DensityMatrix(rho / tr, LABELS[dim]), kdim
+    """Steady state of one generator and its kernel dimension: the n = 1
+    case of :func:`steady_states`, checked once, as the DensityMatrix it is."""
+    rho, kdims = _kernel_states(np.asarray(L)[None], rho0)
+    return DensityMatrix(rho[0], LABELS[len(rho[0])]), int(kdims[0])
 
 
 def steady_two_level_closed(rates: RateMatrices) -> DensityMatrix:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from lindgain import DrudeParams, RateMatrices, greens
+from lindgain import DrudeParams, RateMatrices, greens, steady_v_closed
 from lindgain.cli import build_rate_model, main
 
 SUBSTRATE_CFG = {
@@ -384,9 +384,8 @@ class TestSteady:
         "gamma_l, gamma_g, initial_state",
         [
             ([[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]], "e1"),
-            ([[1e-11, 0.0], [0.0, 2e-11]], [[5e-12, 0.0], [0.0, 0.0]], "e2"),
         ],
-        ids=["zero_rates", "weak_circular"],
+        ids=["zero_rates"],
     )
     def test_v_degenerate_outside_linear_family(
         self, tmp_path, gamma_l, gamma_g, initial_state
@@ -403,6 +402,48 @@ class TestSteady:
         assert record["kernel_dim"] > 1
         assert record["theta"] is None
         assert record["closed_form_match"] is None
+
+    @pytest.mark.parametrize(
+        "gamma_l, gamma_g",
+        [([[1e-11, 0.0], [0.0, 2e-11]], [[5e-12, 0.0], [0.0, 0.0]])],
+        ids=["weak_circular"],
+    )
+    def test_weak_rates_have_a_unique_kernel(self, tmp_path, gamma_l, gamma_g):
+        cfg = {
+            "qubit": {"model": "v_shaped"},
+            "environment": {"abstract_rates": {"gamma_l": gamma_l, "gamma_g": gamma_g}},
+            "evolution": {"initial_state": "e2"},
+        }
+        rc = main(["steady", "--config", write_cfg(tmp_path, cfg), "--out",
+                   str(tmp_path), "--quiet"])
+        assert rc == 0
+        record = json.loads((tmp_path / "steady.json").read_text())
+        assert record["kernel_dim"] == 1
+        assert record["closed_form_match"] is True
+        rho = np.array(record["rho"]["real"]) + 1j * np.array(record["rho"]["imag"])
+        closed = steady_v_closed(RateMatrices(np.array(gamma_l), np.array(gamma_g)))
+        np.testing.assert_allclose(rho, closed.rho, atol=1e-10)
+
+    @pytest.mark.parametrize("z_a", [3.0, 6.0])
+    @pytest.mark.parametrize("mode, rc_expected", [("asymptotic", 3), ("exact", 0)])
+    def test_far_circular_dipole_over_moving_slab(self, tmp_path, capsys, z_a, mode, rc_expected):
+        # rank-1 asymptotic tensors leave the kernel truly degenerate; the
+        # exact ones give the unique ground state
+        cfg = {
+            "qubit": {"model": "v_shaped", "dipole": [0.5**0.5, 0.0, [0.0, 0.5**0.5]]},
+            "environment": {"moving_slab": {"omega_sp": 2.0, "v": 0.2, "z_a": z_a,
+                                            "g00": 0.0, "mode": mode}},
+        }
+        out = tmp_path / "out"
+        rc = main(["steady", "--config", write_cfg(tmp_path, cfg), "--out", str(out), "--quiet"])
+        assert rc == rc_expected
+        if rc_expected == 3:
+            assert "kernel dimension 2" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            record = json.loads((out / "steady.json").read_text())
+            assert record["kernel_dim"] == 1
+            assert record["closed_form_match"] is True
 
 
 class TestRatesAndSpectrum:

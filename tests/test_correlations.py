@@ -62,6 +62,13 @@ class TestFieldSpectrum:
         with pytest.raises(DomainError):
             field_spectrum(SPLIT, GEOM, 1.0, -0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_arguments_rejected(self, bad):
+        with pytest.raises(DomainError, match="omega must be finite"):
+            field_spectrum(SPLIT, GEOM, bad, 0.0)
+        with pytest.raises(DomainError, match="occupation must be finite"):
+            field_spectrum(SPLIT, GEOM, 1.0, bad)
+
 
 class TestNoiseCurrentSpectrum:
     def test_zero_medium(self):
@@ -86,3 +93,10 @@ class TestNoiseCurrentSpectrum:
         a = noise_current_spectrum(SPLIT, 1.0, 0.0)
         b = noise_current_spectrum(SPLIT, 2.0, 0.0)
         np.testing.assert_allclose(b, 4.0 * a, rtol=1e-13)
+
+    @pytest.mark.parametrize("omega, n_omega", [
+        (-1.0, 0.0), (1.0, -0.5), (np.nan, 0.0), (np.inf, 0.0), (1.0, np.nan), (1.0, np.inf),
+    ])
+    def test_domain_errors(self, omega, n_omega):
+        with pytest.raises(DomainError):
+            noise_current_spectrum(SPLIT, omega, n_omega)

@@ -30,6 +30,7 @@ from lindgain import (
     rate_matrices,
     steady_linear_family,
     steady_state_kernel,
+    steady_states,
     steady_two_level_closed,
     steady_v_closed,
     thermal,
@@ -79,6 +80,11 @@ class TestThermalMixing:
     def test_negative_occupation_rejected(self):
         with pytest.raises(DomainError):
             ThermalOccupation(-0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_occupation_rejected(self, bad):
+        with pytest.raises(DomainError, match="occupation must be finite"):
+            ThermalOccupation(bad)
 
     def test_tensor_vs_rate_level_mixing(self):
         q = QubitSpec(model=V_SHAPED, dipole=np.array([1.0, 0.2j, 0.5]))
@@ -489,34 +495,101 @@ class TestSteadyStates:
             assert res <= 1e-9 * np.linalg.norm(L)
 
 
-# strict: fixing the defect makes these XPASS, which fails until the marks go
-KERNEL_SCALE = "ROADMAP item 1: the kernel threshold scales with omega_a, not with the rates"
+def random_rates(rng, m, scale):
+    """Seeded rates with a unique steady state: a positive definite loss
+    matrix and a PSD gain matrix, (m, m), times ``scale``."""
+    def gram():
+        b = rng.uniform(-1.0, 1.0, size=(m, m)) + 1j * rng.uniform(-1.0, 1.0, size=(m, m))
+        return b @ b.conj().T if m == 2 else np.abs(b) ** 2
+    loss = gram() + rng.uniform(0.05, 1.0) * np.eye(m)
+    gain = rng.uniform(0.0, 1.0) * gram()
+    return RateMatrices(loss=scale * loss, gain=scale * gain)
+
+
+CLOSED = {1: steady_two_level_closed, 2: steady_v_closed}
+FIG2 = RateMatrices(loss=0.1 * np.ones((2, 2)), gain=0.05 * np.ones((2, 2)))
+FIG3 = RateMatrices(loss=np.diag([0.1, 0.175]), gain=np.diag([0.075, 0.0]))
+
+
+def circular_dipole_over_slab(z_a, tensors=moving_slab_tensors_exact):
+    """Rates of the dipole (x + iz)/sqrt(2) over the moving slab with omega_sp
+    2, v 0.2 and no background loss: down to 1e-16 at z_a 3 and 1e-30 at 6."""
+    params = SlabMotionParams(
+        drude=DrudeParams(omega_sp=2.0), v=0.2, geometry=SubstrateGeometry(z_a=z_a)
+    )
+    q = QubitSpec(model=V_SHAPED, dipole=np.array([1.0, 0.0, 1.0j]) / np.sqrt(2.0))
+    return rate_matrices(q, tensors(params))
 
 
 class TestKernelScale:
     """Weak rates have a unique steady state at any scale."""
 
-    @pytest.mark.xfail(strict=True, raises=DegenerateKernelError, reason=KERNEL_SCALE)
     def test_weak_two_level_rates(self):
         rates = RatePair(1e-11, 5e-12)
         state, kdim = steady_state_kernel(liouvillian(rates))
         assert kdim == 1
         np.testing.assert_allclose(state.rho, steady_two_level_closed(rates).rho, atol=1e-10)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=KERNEL_SCALE)
     @pytest.mark.parametrize("z_a", [3.0, 6.0])
     def test_far_circular_dipole_over_moving_slab(self, z_a):
-        params = SlabMotionParams(
-            drude=DrudeParams(omega_sp=2.0), v=0.2, geometry=SubstrateGeometry(z_a=z_a)
-        )
-        q = QubitSpec(model=V_SHAPED, dipole=np.array([1.0, 0.0, 1.0j]) / np.sqrt(2.0))
-        rates = rate_matrices(q, moving_slab_tensors_exact(params))
+        rates = circular_dipole_over_slab(z_a)
         closed = steady_v_closed(rates)
         np.testing.assert_allclose(closed.rho, np.diag([1.0, 0.0, 0.0]), atol=1e-21)
         # a unique kernel does not depend on the initial state
         state, kdim = steady_state_kernel(liouvillian(rates), pure_state(1, 3))
         assert kdim == 1
         np.testing.assert_allclose(state.rho, closed.rho, atol=1e-10)
+
+    @pytest.mark.parametrize("z_a", [3.0, 6.0])
+    def test_rank_one_asymptotic_slab_is_degenerate(self, z_a):
+        # the far-field form gives rank-1 channel tensors: a truly degenerate
+        # kernel, where the exact form has a unique one
+        rates = circular_dipole_over_slab(z_a, moving_slab_tensors_asymptotic)
+        with pytest.raises(DegenerateKernelError, match="kernel dimension 2"):
+            steady_state_kernel(liouvillian(rates))
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @given(st.integers(0, 2**32 - 1), st.floats(-30.0, 3.0), st.sampled_from([0.3, 1.0, 7.0]))
+    def test_unique_at_every_rate_scale(self, m, seed, log_scale, omega_a):
+        rates = random_rates(np.random.default_rng(seed), m, 10.0**log_scale)
+        state, kdim = steady_state_kernel(liouvillian(rates, omega_a))
+        assert kdim == 1
+        np.testing.assert_allclose(state.rho, CLOSED[m](rates).rho, atol=1e-10)
+
+
+class TestSteadyStateStack:
+    def test_stack_matches_single_points(self):
+        rng = np.random.default_rng(4)
+        rates = [random_rates(rng, 2, 10.0**s) for s in (-20.0, -3.0, 0.0)]
+        rates.insert(2, FIG2)
+        Ls = np.array([liouvillian(r) for r in rates])
+        rho0 = pure_state(1, 3)
+        rho, kdims = steady_states(Ls, rho0)
+        assert rho.shape == (4, 3, 3)
+        assert kdims.tolist() == [1, 1, 2, 1]
+        for L, state, kdim in zip(Ls, rho, kdims):
+            single, single_kdim = steady_state_kernel(L, rho0)
+            assert kdim == single_kdim
+            np.testing.assert_allclose(state, single.rho, atol=1e-14)
+
+    def test_degenerate_point_in_stack_needs_initial_state(self):
+        Ls = np.array([liouvillian(FIG3), liouvillian(FIG2)])
+        with pytest.raises(DegenerateKernelError, match="kernel dimension 2"):
+            steady_states(Ls)
+
+    def test_coupling_entry_rejected(self):
+        L = liouvillian(FIG3)
+        # row of rho_gg, column of the coherence rho_ge1
+        L[0, 1] = 1e-3
+        with pytest.raises(NumericalInstabilityError, match="zero-frequency block"):
+            steady_state_kernel(L)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_generator_rejected(self, bad):
+        L = liouvillian(FIG3)
+        L[0, 0] = bad
+        with pytest.raises(NumericalInstabilityError, match="non-finite"):
+            steady_state_kernel(L)
 
 
 class TestLinearFamily:
