@@ -52,7 +52,6 @@ from .material import (
     drude_permittivity,
     quasistatic_reflection,
     spectral_split,
-    substrate_reflection_pair,
 )
 
 __version__ = "0.1.0"

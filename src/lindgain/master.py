@@ -12,7 +12,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (
     DegenerateKernelError,
@@ -22,6 +21,7 @@ from .errors import (
     ValidationError,
 )
 from .greens import InteractionTensorPair
+from .material import safe_norm
 
 TWO_LEVEL = "two_level"
 V_SHAPED = "v_shaped"
@@ -52,11 +52,12 @@ class QubitSpec:
         d = np.asarray(self.dipole, dtype=complex)
         if d.shape != (3,):
             raise ValidationError("dipole must be a complex 3-vector")
-        if np.linalg.norm(d) == 0:
+        if not d.any():
             raise ValidationError("dipole must be nonzero")
         object.__setattr__(self, "dipole", d)
-        if self.omega_a <= 0:
-            raise DomainError("omega_a must be > 0")
+        # written so that NaN fails it
+        if not 0.0 < self.omega_a < np.inf:
+            raise DomainError(f"omega_a must be finite and > 0, got {self.omega_a}")
 
     @property
     def dipoles(self) -> list[np.ndarray]:
@@ -96,7 +97,7 @@ class RateMatrices:
             name = "gain" if np.isfinite(mats[0]).all() else "loss"
             raise ValidationError(f"{name} rate matrix has non-finite entries")
         adj = mats.conj().transpose(0, 2, 1)
-        norm = np.linalg.norm(mats, axis=(1, 2))
+        norm = safe_norm(mats)
         asym = np.abs(mats - adj).max(axis=(1, 2))
         mats = 0.5 * (mats + adj)
         min_eig = np.linalg.eigvalsh(mats)[:, 0]
@@ -241,6 +242,9 @@ def liouvillian(rates: RateMatrices, omega_a: float = 1.0) -> np.ndarray:
     """Generator -i omega_a [E, .] + sum_ij loss_ij D[s_j, s_i^+]
     + gain_ij D[s_i^+, s_j] of the qubit with m = rates.m excited levels, as
     a complex (d^2, d^2) array over the row-major vectorized state, d = m + 1."""
+    # written so that NaN fails it
+    if not 0.0 < omega_a < np.inf:
+        raise DomainError(f"omega_a must be finite and > 0, got {omega_a}")
     ham, d_loss, d_gain = _superoperators(rates.m)
     mat = -1j * (omega_a * ham)
     for i in range(rates.m):
@@ -269,6 +273,9 @@ def evolve(
 ) -> Trajectory:
     """Propagate on a uniform grid by repeated application of the exact
     step propagator expm(L dt), then check the invariants of every state."""
+    # the only scipy this package loads outside its quadrature oracle
+    from scipy.linalg import expm
+
     if t_max <= 0:
         raise DomainError("t_max must be > 0")
     if n_steps < 2:
@@ -413,7 +420,10 @@ def steady_v_closed(rates: RateMatrices) -> DensityMatrix:
     """Closed-form steady state of the V-shaped system (non-degenerate case)."""
     if rates.m != 2:
         raise ValidationError(f"steady_v_closed needs 2x2 rates, got {rates.m}x{rates.m}")
-    gl, gg = rates.loss, rates.gain
+    # the state depends on rate ratios only: rates scaled to a unit sum of
+    # norms keep every product below from underflowing
+    scale = safe_norm(rates.loss) + safe_norm(rates.gain) or 1.0
+    gl, gg = rates.loss / scale, rates.gain / scale
     a = (gl[0, 0] * gl[1, 1] - gl[0, 1] * gl[1, 0]).real
     b = (
         gl[0, 0] * gg[1, 1]
@@ -422,8 +432,7 @@ def steady_v_closed(rates: RateMatrices) -> DensityMatrix:
         - gl[1, 0] * gg[0, 1]
     ).real
     dsum = (gl[0, 0] + gl[1, 1]).real
-    scale = (np.linalg.norm(gl) + np.linalg.norm(gg)) ** 2
-    if abs(a + b) <= 1e-10 * max(scale, 1e-300) or dsum <= 0:
+    if abs(a + b) <= 1e-10 or dsum <= 0:
         raise DegenerateKernelError(
             "A + B vanishes (linear-polarization degeneracy): use "
             "steady_state_kernel with an initial state"
@@ -453,7 +462,7 @@ def linear_family_rates(rates: RateMatrices) -> tuple[float, float] | None:
     scalars = []
     for m in (rates.loss, rates.gain):
         a = float(m[0, 0].real)
-        if np.linalg.norm(m - a) > 1e-10 * np.linalg.norm(m):
+        if safe_norm(m - a) > 1e-10 * safe_norm(m):
             return None
         scalars.append(a)
     return tuple(scalars) if scalars[0] > 0 else None

@@ -16,6 +16,15 @@ from .errors import DomainError, SingularityError, ValidationError
 HERMITICITY_TOL = 1e-12
 
 
+def safe_norm(m: np.ndarray):
+    """Frobenius norm of a matrix, or of each matrix of a stack over its
+    last two axes, as a running hypot of the entries' magnitudes.  It
+    squares no entry, so it neither underflows to 0 for entries below
+    1e-154, as np.linalg.norm does, nor overflows above 1e154."""
+    a = np.abs(m)
+    return np.hypot.reduce(a.reshape(*a.shape[:-2], -1), axis=-1)
+
+
 def require_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
     """Validate that ``m`` is a square Hermitian matrix: no element of
     m - m^H exceeds tol * ||m||, so the check holds at any scale."""
@@ -23,7 +32,7 @@ def require_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
     dev = np.max(np.abs(m - m.conj().T))
-    if dev > tol * np.linalg.norm(m):
+    if dev > tol * safe_norm(m):
         raise ValidationError(f"matrix is not Hermitian: max deviation {dev:.3e}")
     return m
 
@@ -40,7 +49,7 @@ def spectral_split(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m = require_hermitian(m)
     h = 0.5 * (m + m.conj().T)
     vals, vecs = np.linalg.eigh(h)
-    scale = np.linalg.norm(h)
+    scale = safe_norm(h)
     loss = np.zeros_like(h)
     gain = np.zeros_like(h)
     for lam, v in zip(vals, vecs.T):
@@ -90,8 +99,9 @@ class DrudeParams:
     omega_sp: float
 
     def __post_init__(self):
-        if self.omega_sp <= 0:
-            raise DomainError("omega_sp must be > 0")
+        # written so that NaN fails it
+        if not 0.0 < self.omega_sp < np.inf:
+            raise DomainError(f"omega_sp must be finite and > 0, got {self.omega_sp}")
 
 
 def drude_permittivity(omega: float, p: DrudeParams) -> complex:
@@ -116,11 +126,3 @@ def quasistatic_reflection(eps: complex) -> complex:
         raise SingularityError("eps = -1: surface-plasmon resonance singularity")
     return (1.0 - eps) / (1.0 + eps)
 
-
-def substrate_reflection_pair(eps: complex) -> tuple[complex, complex]:
-    """Reflection and transmission coefficients of the substrate potential
-    problem: R = (eps - 1)/(eps + 1), T = 1 + R."""
-    if abs(eps + 1.0) <= RESONANCE_TOL:
-        raise SingularityError("eps = -1: surface-plasmon resonance singularity")
-    r = (eps - 1.0) / (eps + 1.0)
-    return r, 1.0 + r

@@ -445,6 +445,26 @@ class TestSteady:
             assert record["kernel_dim"] == 1
             assert record["closed_form_match"] is True
 
+    @pytest.mark.parametrize("command", ["steady", "rates"])
+    def test_far_slab_with_background_loss(self, tmp_path, command):
+        # the gain rates are about 1e-199, where an unscaled matrix norm reads 0
+        cfg = {
+            "qubit": {"model": "v_shaped", "dipole": [0.5**0.5, 0.0, [0.0, 0.5**0.5]]},
+            "thermal": {"occupation": 0.0},
+            "environment": {"moving_slab": {"omega_sp": 2.0, "v": 0.1, "z_a": 7.704,
+                                            "g00": 1e-3}},
+        }
+        out = tmp_path / "out"
+        rc = main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out), "--quiet"])
+        assert rc == 0
+        if command == "rates":
+            gain = np.array(json.loads((out / "rates.json").read_text())["gamma_gain_matrix"]["real"])
+            assert 1e-210 < gain.max() < 1e-190
+        else:
+            record = json.loads((out / "steady.json").read_text())
+            assert record["kernel_dim"] == 1
+            assert record["closed_form_match"] is True
+
 
 class TestRatesAndSpectrum:
     def test_rates_reproduces_substrate_tensors(self, tmp_path):

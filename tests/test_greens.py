@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import kn, kve
 
 from lindgain import (
     DomainError,
@@ -99,6 +100,22 @@ class TestBesselK:
         with pytest.raises(DomainError):
             bessel_k(3, 1.0)
 
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_against_scipy(self, n):
+        xs = np.geomspace(0.05, 700.0, 1401)
+        scaled = np.array([bessel_k(n, x) for x in xs]) * np.exp(xs)
+        np.testing.assert_allclose(scaled, kve(n, xs), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("x", [750.0, 1e3, 1e300, np.finfo(float).max])
+    def test_underflow_is_zero(self, x):
+        for n in (0, 1, 2):
+            assert bessel_k(n, x) == 0.0 == kn(n, x)
+
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+    def test_non_finite_argument_rejected(self, x):
+        with pytest.raises(DomainError, match="finite"):
+            bessel_k(0, x)
+
 
 SLAB = SlabMotionParams(drude=DrudeParams(2.0), v=0.2, geometry=GEOM)
 
@@ -128,6 +145,12 @@ class TestMovingSlabExact:
         assert SLAB.k_loss < 0 < SLAB.k_gain
         assert pair.loss[0, 2].imag > 0  # -2i*s*K1 with s = -1
         assert pair.gain[0, 2].imag < 0
+
+    def test_overflowing_argument_gives_zero(self):
+        # 2|k|z_a overflows to inf, where every K_n has long underflowed to 0
+        p = SlabMotionParams(drude=DrudeParams(2.0), v=0.2, geometry=SubstrateGeometry(1e308))
+        pair = moving_slab_tensors_exact(p)
+        assert not pair.loss.any() and not pair.gain.any()
 
     def test_out_of_validity(self):
         p = SlabMotionParams(drude=DrudeParams(2.0), v=100.0, geometry=GEOM)
@@ -212,3 +235,21 @@ class TestIdentity:
             geom = SubstrateGeometry(z_a=z)
             norm = scale / z**3
             assert greens_identity_check(SPLIT, geom) <= 1e-12 * norm
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda x: SubstrateGeometry(z_a=x),
+        lambda x: DrudeParams(omega_sp=x),
+        lambda x: SlabMotionParams(drude=DrudeParams(2.0), v=x, geometry=GEOM),
+        lambda x: SlabMotionParams(drude=DrudeParams(2.0), v=0.2, geometry=GEOM, g00=x),
+        lambda x: SlabMotionParams(drude=DrudeParams(2.0), v=0.2, geometry=GEOM, omega_a=x),
+        lambda x: add_background_loss(moving_slab_tensors_exact(SLAB), x),
+    ],
+    ids=["z_a", "omega_sp", "v", "g00", "omega_a", "background_g00"],
+)
+def test_non_finite_parameters_rejected(build, bad):
+    with pytest.raises(DomainError, match="finite"):
+        build(bad)

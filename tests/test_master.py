@@ -57,6 +57,21 @@ def random_psd_rate_matrices(rng):
     return RateMatrices(loss=psd(), gain=0.3 * psd())
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_frequency_rejected(bad):
+    with pytest.raises(DomainError, match="finite"):
+        QubitSpec(model=TWO_LEVEL, dipole=np.array([1.0, 0.0, 0.0]), omega_a=bad)
+    with pytest.raises(DomainError, match="finite"):
+        liouvillian(RatePair(0.1, 0.05), omega_a=bad)
+
+
+def test_tiny_dipole_is_nonzero():
+    # np.linalg.norm of this dipole underflows to 0
+    QubitSpec(model=TWO_LEVEL, dipole=np.array([1e-200, 0.0, 0.0]))
+    with pytest.raises(ValidationError, match="nonzero"):
+        QubitSpec(model=TWO_LEVEL, dipole=np.zeros(3))
+
+
 class TestThermalMixing:
     def test_zero_temperature_passthrough(self):
         th = thermal(ISO_PAIR, ThermalOccupation(0.0))
@@ -303,14 +318,22 @@ class TestCompletePositivityScale:
     PSD = np.array([[1.0, 1j], [-1j, 1.0]])  # eigenvalues 0 and 2
     NOT_PSD = np.array([[1.0, 10.0], [10.0, 1.0]])  # eigenvalues -9 and 11
 
-    @given(st.floats(-30.0, 3.0))
+    @given(st.floats(-300.0, 3.0))
     def test_rate_matrices(self, log_scale):
         s = 10.0**log_scale
         RateMatrices(loss=s * self.PSD, gain=s * self.PSD)
         with pytest.raises(ValidationError, match="not PSD"):
             RateMatrices(loss=s * self.NOT_PSD, gain=np.zeros((2, 2)))
 
-    @given(st.floats(-30.0, 3.0))
+    @given(st.floats(-300.0, 3.0))
+    def test_rounding_level_asymmetry_accepted(self, log_scale):
+        s = 10.0**log_scale
+        nearly = s * self.PSD
+        nearly[0, 1] *= 1.0 + 1e-14
+        rates = RateMatrices(loss=nearly, gain=s * self.PSD)
+        np.testing.assert_array_equal(rates.loss, rates.loss.conj().T)
+
+    @given(st.floats(-300.0, 3.0))
     def test_interaction_tensors(self, log_scale):
         s = 10.0**log_scale
         psd, not_psd = (np.pad(s * m, ((0, 1), (0, 1))) for m in (self.PSD, self.NOT_PSD))
@@ -549,7 +572,7 @@ class TestKernelScale:
             steady_state_kernel(liouvillian(rates))
 
     @pytest.mark.parametrize("m", [1, 2])
-    @given(st.integers(0, 2**32 - 1), st.floats(-30.0, 3.0), st.sampled_from([0.3, 1.0, 7.0]))
+    @given(st.integers(0, 2**32 - 1), st.floats(-300.0, 3.0), st.sampled_from([0.3, 1.0, 7.0]))
     def test_unique_at_every_rate_scale(self, m, seed, log_scale, omega_a):
         rates = random_rates(np.random.default_rng(seed), m, 10.0**log_scale)
         state, kdim = steady_state_kernel(liouvillian(rates, omega_a))
@@ -680,6 +703,13 @@ class TestLinearFamily:
             # theta shapes only the excited block, which vanishes with gg
             if ratio >= 1e-12:
                 assert fit == pytest.approx(theta, abs=1e-9)
+
+    @given(st.floats(-300.0, 3.0))
+    def test_membership_at_every_scale(self, log_scale):
+        s = 10.0**log_scale
+        family = RateMatrices(s * FIG2.loss, s * FIG2.gain)
+        assert linear_family_rates(family) == (0.1 * s, 0.05 * s)
+        assert linear_family_rates(RateMatrices(s * FIG3.loss, s * FIG3.gain)) is None
 
     def test_rates_outside_the_family_rejected(self):
         fig3 = RateMatrices(np.diag([0.1, 0.175]), np.diag([0.075, 0.0]))
