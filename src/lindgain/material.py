@@ -26,11 +26,14 @@ def safe_norm(m: np.ndarray):
 
 
 def require_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Validate that ``m`` is a square Hermitian matrix: no element of
-    m - m^H exceeds tol * ||m||, so the check holds at any scale."""
+    """Validate that ``m`` is a square Hermitian matrix of finite entries: no
+    element of m - m^H exceeds tol * ||m||, so the check holds at any scale."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
+    # before any arithmetic, which NaN would pass and inf would warn about
+    if not np.isfinite(m).all():
+        raise ValidationError("matrix has non-finite entries")
     dev = np.max(np.abs(m - m.conj().T))
     if dev > tol * safe_norm(m):
         raise ValidationError(f"matrix is not Hermitian: max deviation {dev:.3e}")

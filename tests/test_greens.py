@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import kn, kve
 
@@ -38,6 +40,13 @@ def bessel_k_integral(n, x):
     return val
 
 
+def assert_hermitian_psd(t, tol=1e-12):
+    """Hermitian and positive semidefinite relative to the largest entry."""
+    scale = np.abs(t).max()
+    np.testing.assert_allclose(t, t.conj().T, rtol=0, atol=tol * scale)
+    assert np.linalg.eigvalsh(t).min() >= -tol * scale
+
+
 class TestIsotropic:
     def test_reference_values(self):
         pair = isotropic_gain_tensors(SPLIT, GEOM)
@@ -47,7 +56,8 @@ class TestIsotropic:
         np.testing.assert_allclose(
             np.diag(pair.gain).real, [0.049736, 0.049736, 0.099472], rtol=1e-4
         )
-        pair.validate()
+        assert_hermitian_psd(pair.loss)
+        assert_hermitian_psd(pair.gain)
 
     def test_passive_limit(self):
         split = ScalarPermittivitySplit(eps=-1 + 0.3j, eps_loss=0.3, eps_gain=0.0)
@@ -129,7 +139,9 @@ class TestMovingSlabExact:
             assert t[0, 2] == np.conj(t[2, 0])
 
     def test_hermitian_psd(self):
-        moving_slab_tensors_exact(SLAB).validate()
+        pair = moving_slab_tensors_exact(SLAB)
+        assert_hermitian_psd(pair.loss)
+        assert_hermitian_psd(pair.gain)
 
     def test_against_quadrature_oracle(self):
         exact = moving_slab_tensors_exact(SLAB)
@@ -149,8 +161,9 @@ class TestMovingSlabExact:
     def test_overflowing_argument_gives_zero(self):
         # 2|k|z_a overflows to inf, where every K_n has long underflowed to 0
         p = SlabMotionParams(drude=DrudeParams(2.0), v=0.2, geometry=SubstrateGeometry(1e308))
-        pair = moving_slab_tensors_exact(p)
-        assert not pair.loss.any() and not pair.gain.any()
+        for tensors in (moving_slab_tensors_exact, moving_slab_tensors_asymptotic):
+            pair = tensors(p)
+            assert not pair.loss.any() and not pair.gain.any()
 
     def test_out_of_validity(self):
         p = SlabMotionParams(drude=DrudeParams(2.0), v=100.0, geometry=GEOM)
@@ -162,7 +175,35 @@ class TestMovingSlabExact:
             SlabMotionParams(drude=DrudeParams(1.0), v=0.2, geometry=GEOM)
 
 
+def circular_projector(k, p):
+    """The asymptotic channel tensor written as a projector: g0 u u^H with
+    g0 = k^2 omega_sp / (8 pi v) sqrt(pi / (|k| z_a)) e^(-2|k|z_a) and
+    u = (1, 0, i sign k) / sqrt(2)."""
+    z = p.geometry.z_a
+    g0 = k**2 * p.drude.omega_sp / (8.0 * np.pi * p.v)
+    g0 *= np.sqrt(np.pi / (abs(k) * z)) * np.exp(-2.0 * abs(k) * z)
+    u = np.array([1.0, 0.0, 1j * np.sign(k)]) / np.sqrt(2.0)
+    return g0 * np.outer(u, u.conj())
+
+
 class TestMovingSlabAsymptotic:
+    @given(
+        st.one_of(st.floats(0.05, 0.95), st.floats(1.05, 10.0)),
+        st.floats(0.01, 1.0),
+        st.floats(0.0, 1.0),
+    )
+    def test_is_the_circular_projector(self, omega_sp, v, f):
+        # omega_sp on both sides of omega_a = 1 gives k_loss of both signs;
+        # the loss argument 2|k_loss|z_a is drawn so that both channels lie
+        # in [5.5, 600], above the least argument and clear of subnormals
+        k_loss, k_gain = (1.0 - omega_sp) / v, (1.0 + omega_sp) / v
+        x_loss = 5.5 + f * (600.0 * abs(k_loss) / k_gain - 5.5)
+        geom = SubstrateGeometry(z_a=x_loss / (2.0 * abs(k_loss)))
+        p = SlabMotionParams(drude=DrudeParams(omega_sp), v=v, geometry=geom)
+        pair = moving_slab_tensors_asymptotic(p)
+        for t, k in ((pair.loss, p.k_loss), (pair.gain, p.k_gain)):
+            np.testing.assert_allclose(t, circular_projector(k, p), rtol=1e-14, atol=0)
+
     def test_rank_one(self):
         pair = moving_slab_tensors_asymptotic(SLAB)
         for t in (pair.loss, pair.gain):
