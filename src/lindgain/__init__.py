@@ -17,7 +17,6 @@ from .greens import (
     SlabMotionParams,
     SubstrateGeometry,
     add_background_loss,
-    bessel_k,
     greens_identity_check,
     isotropic_gain_tensors,
     moving_slab_quadrature_oracle,
@@ -49,9 +48,7 @@ from .master import (
 from .material import (
     DrudeParams,
     ScalarPermittivitySplit,
-    drude_permittivity,
     quasistatic_reflection,
-    spectral_split,
 )
 
 __version__ = "0.1.0"

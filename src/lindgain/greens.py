@@ -101,44 +101,30 @@ _BESSEL_ORDERS = np.arange(3)[:, None]
 
 
 def _bessel_k012(x: float) -> np.ndarray:
-    """K_0(x), K_1(x), K_2(x) for x > 0 from one trapezoid sum on shared
-    nodes: e^x K_n(x) = int_0^inf exp(-x (cosh t - 1)) cosh(n t) dt (DLMF
-    10.32.9), cut where the exponent reaches -40."""
-    # all three underflow to 0 beyond x ~ 745; the cap keeps x = inf finite
-    x = min(x, 750.0)
+    """e^x K_n(x) for n = 0, 1, 2 and x > 0, as scipy.special.kve
+    gives it, from one trapezoid sum on shared nodes: e^x K_n(x) =
+    int_0^inf exp(-x (cosh t - 1)) cosh(n t) dt (DLMF 10.32.9), cut where the
+    exponent reaches -40.  The rule converges geometrically on this integrand
+    (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)); against kve over x in
+    [0.05, 1500] its largest relative error is 3.3e-15 for each n."""
     span = math.acosh(1.0 + 40.0 / x)
     t = span * _TRAPEZOID_NODES
     # x (cosh t - 1) as 2 x sinh^2(t/2), which keeps its precision near t = 0
     damping = np.exp(-2.0 * np.sinh(0.5 * t) ** 2 * x)
-    return span * math.exp(-x) * (np.cosh(_BESSEL_ORDERS * t) @ (_TRAPEZOID_WEIGHTS * damping))
-
-
-def bessel_k(n: int, x: float) -> float:
-    """Modified Bessel function of the second kind K_n(x), n in {0, 1, 2}.
-
-    The trapezoid rule of :func:`_bessel_k012`, which converges geometrically
-    on this integrand (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)).
-    Against scipy.special.kve over x in [0.05, 700] its largest relative
-    error is 3.3e-15 for each n.  Underflows to 0 beyond x ~ 745.
-    """
-    if n not in (0, 1, 2):
-        raise DomainError("order n must be 0, 1 or 2")
-    # written so that NaN fails it
-    if not 0.0 < x < np.inf:
-        raise DomainError(f"bessel_k requires finite x > 0, got {x}")
-    return float(_bessel_k012(x)[n])
+    return span * (np.cosh(_BESSEL_ORDERS * t) @ (_TRAPEZOID_WEIGHTS * damping))
 
 
 def _leading_k012(x: float) -> tuple[float, float, float]:
-    """The leading term sqrt(pi / 2x) e^-x that K_0, K_1 and K_2 share at
-    large x (DLMF 10.40.2)."""
-    return (math.sqrt(math.pi / (2.0 * x)) * math.exp(-x),) * 3
+    """The leading term sqrt(pi / 2x) that e^x K_0, e^x K_1 and e^x K_2
+    share at large x (DLMF 10.40.2)."""
+    return (math.sqrt(math.pi / (2.0 * x)),) * 3
 
 
 MIN_EXACT_ARG = 0.1
 MIN_ASYMPTOTIC_ARG = 5.0
 
-# each slab mode: its K_0, K_1, K_2, its least 2|k|z_a and what it says below it
+# each slab mode: its e^x K_0, e^x K_1, e^x K_2, its least 2|k|z_a and what
+# it says below it
 _SLAB_FORMS = {
     "exact": (_bessel_k012, MIN_EXACT_ARG, "closed form unreliable"),
     "asymptotic": (_leading_k012, MIN_ASYMPTOTIC_ARG, "asymptotic form invalid"),
@@ -155,7 +141,12 @@ def _slab_channel(k: float, p: SlabMotionParams, channel: str, form: str) -> np.
         raise OutOfValidityError(
             f"channel {channel}: 2|k|z_a = {x:.3g} < {min_arg}; {invalid}"
         )
-    k0, k1, k2 = k012(x)
+    # e^-x is applied as two halves h, one on each side of the prefactor, so
+    # no factor leaves the normal range while the tensor is in it.  h is 0
+    # beyond x = 1490.3, and the tensor with it for any double prefactor: the
+    # cap on the K's argument only keeps x = inf finite
+    k0, k1, k2 = k012(min(x, 1500.0))
+    h = math.exp(-0.5 * x)
     s = np.sign(k)
     pref = k**2 * p.drude.omega_sp / p.v / (16.0 * np.pi)
     mat = np.array(
@@ -166,7 +157,7 @@ def _slab_channel(k: float, p: SlabMotionParams, channel: str, form: str) -> np.
         ],
         dtype=complex,
     )
-    return pref * mat
+    return (pref * h) * mat * h
 
 
 def _slab_pair(p: SlabMotionParams, channel, *args) -> InteractionTensorPair:
@@ -224,21 +215,16 @@ def _slab_channel_quadrature(k: float, p: SlabMotionParams, channel: str) -> np.
         for i in range(3):
             for j in range(3):
                 try:
-                    re, _ = quad(
-                        lambda ky: element(ky, i, j).real,
-                        -ky_max,
-                        ky_max,
-                        epsabs=1e-13 * ref,
-                        epsrel=1e-10,
-                        limit=400,
-                    )
-                    im, _ = quad(
-                        lambda ky: element(ky, i, j).imag,
-                        -ky_max,
-                        ky_max,
-                        epsabs=1e-13 * ref,
-                        epsrel=1e-10,
-                        limit=400,
+                    re, im = (
+                        quad(
+                            lambda ky: part(element(ky, i, j)),
+                            -ky_max,
+                            ky_max,
+                            epsabs=1e-13 * ref,
+                            epsrel=1e-10,
+                            limit=400,
+                        )[0]
+                        for part in (np.real, np.imag)
                     )
                 except IntegrationWarning as exc:
                     raise OracleError(

@@ -276,8 +276,9 @@ def evolve(
     # the only scipy this package loads outside its quadrature oracle
     from scipy.linalg import expm
 
-    if t_max <= 0:
-        raise DomainError("t_max must be > 0")
+    # written so that NaN fails it
+    if not 0.0 < t_max < np.inf:
+        raise DomainError(f"t_max must be finite and > 0, got {t_max}")
     if n_steps < 2:
         raise DomainError("n_steps must be >= 2")
     dim = _state_dim(L)

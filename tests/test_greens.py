@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import kn, kve
@@ -14,13 +14,13 @@ from lindgain import (
     SlabMotionParams,
     SubstrateGeometry,
     add_background_loss,
-    bessel_k,
     greens_identity_check,
     isotropic_gain_tensors,
     moving_slab_quadrature_oracle,
     moving_slab_tensors_asymptotic,
     moving_slab_tensors_exact,
 )
+from lindgain.greens import _bessel_k012
 
 SPLIT = ScalarPermittivitySplit(eps=-1 + 0.2j, eps_loss=0.3, eps_gain=-0.1)
 GEOM = SubstrateGeometry(z_a=1.0)
@@ -83,48 +83,45 @@ class TestIsotropic:
 
 
 class TestBesselK:
+    """The scaled K_0, K_1, K_2 of the moving slab: _bessel_k012(x) is
+    e^x K_n(x), as scipy.special.kve gives it."""
+
     def test_reference_values(self):
-        assert bessel_k(0, 1.0) == pytest.approx(0.421024438, rel=1e-9)
-        assert bessel_k(1, 1.0) == pytest.approx(0.601907230, rel=1e-9)
+        k = np.exp(-1.0) * _bessel_k012(1.0)
+        assert k[0] == pytest.approx(0.421024438, rel=1e-9)
+        assert k[1] == pytest.approx(0.601907230, rel=1e-9)
 
     @pytest.mark.parametrize("x", [0.05, 0.3, 1.0, 4.0, 20.0, 100.0])
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_against_integral_representation(self, n, x):
-        assert bessel_k(n, x) == pytest.approx(bessel_k_integral(n, x), rel=1e-10)
+        k = np.exp(-x) * _bessel_k012(x)[n]
+        assert k == pytest.approx(bessel_k_integral(n, x), rel=1e-10)
 
     def test_recurrence(self):
-        assert bessel_k(2, 1.0) == pytest.approx(
-            bessel_k(0, 1.0) + 2.0 * bessel_k(1, 1.0), abs=1e-12
-        )
+        # K_2(x) = K_0(x) + 2 K_1(x) / x, at x = 1, where e^x cancels
+        k0, k1, k2 = _bessel_k012(1.0)
+        assert k2 == pytest.approx(k0 + 2.0 * k1, abs=1e-12)
 
     @pytest.mark.parametrize("x", [20.0, 50.0, 200.0])
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_large_argument_asymptotics(self, n, x):
-        lead = np.sqrt(np.pi / (2.0 * x)) * np.exp(-x)
-        rel = abs(bessel_k(n, x) / lead - 1.0)
+        lead = np.sqrt(np.pi / (2.0 * x))
+        rel = abs(_bessel_k012(x)[n] / lead - 1.0)
         assert rel <= abs(4 * n**2 - 1) / (8.0 * x) * 1.5 + 1e-12
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            bessel_k(0, 0.0)
-        with pytest.raises(DomainError):
-            bessel_k(3, 1.0)
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_against_scipy(self, n):
-        xs = np.geomspace(0.05, 700.0, 1401)
-        scaled = np.array([bessel_k(n, x) for x in xs]) * np.exp(xs)
+        # up to the argument where the slab channel caps it
+        xs = np.geomspace(0.05, 1500.0, 1501)
+        scaled = np.array([_bessel_k012(x)[n] for x in xs])
         np.testing.assert_allclose(scaled, kve(n, xs), rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("x", [750.0, 1e3, 1e300, np.finfo(float).max])
     def test_underflow_is_zero(self, x):
+        # K_n as the slab channel applies it, h (e^x K_n) h with h = e^(-x/2)
+        h = np.exp(-0.5 * x)
         for n in (0, 1, 2):
-            assert bessel_k(n, x) == 0.0 == kn(n, x)
-
-    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
-    def test_non_finite_argument_rejected(self, x):
-        with pytest.raises(DomainError, match="finite"):
-            bessel_k(0, x)
+            assert h * _bessel_k012(x)[n] * h == 0.0 == kn(n, x)
 
 
 SLAB = SlabMotionParams(drude=DrudeParams(2.0), v=0.2, geometry=GEOM)
@@ -173,6 +170,51 @@ class TestMovingSlabExact:
     def test_k_zero_rejected(self):
         with pytest.raises(DomainError):
             SlabMotionParams(drude=DrudeParams(1.0), v=0.2, geometry=GEOM)
+
+
+def scaled_k012(x):
+    """scipy's e^x K_0, e^x K_1, e^x K_2."""
+    return kve([0, 1, 2], x)
+
+
+def leading_k012(x):
+    """Their shared leading term sqrt(pi / 2x) (DLMF 10.40.2)."""
+    return [np.sqrt(np.pi / (2.0 * x))] * 3
+
+
+def split_channel(k, p, k012):
+    """A channel tensor from the given e^x K_0..K_2, with e^-x applied as
+    two halves h = e^(-x/2), one on each side of the prefactor."""
+    x = 2.0 * abs(k) * p.geometry.z_a
+    k0, k1, k2 = k012(x)
+    s = np.sign(k)
+    h = np.exp(-0.5 * x)
+    pref = k**2 * p.drude.omega_sp / p.v / (16.0 * np.pi)
+    mat = np.array([[2 * k0, 0, -2j * s * k1], [0, k2 - k0, 0], [2j * s * k1, 0, k2 + k0]])
+    return (pref * h) * mat * h
+
+
+@pytest.mark.parametrize(
+    "tensors, k012",
+    [(moving_slab_tensors_exact, scaled_k012), (moving_slab_tensors_asymptotic, leading_k012)],
+    ids=["exact", "asymptotic"],
+)
+@given(
+    st.one_of(st.floats(0.05, 0.95), st.floats(1.05, 10.0)),
+    st.floats(0.01, 0.05),
+    st.floats(600.0, 745.0),
+)
+# z_a 3.985, gain argument 713.5
+@example(omega_sp=0.9015, v=0.02124, x_gain=2.0 * (1.9015 / 0.02124) * 3.985)
+def test_full_precision_near_underflow(tensors, k012, omega_sp, v, x_gain):
+    # the gain argument 2 k_gain z_a in [600, 745]: beyond 708 e^-x alone is
+    # subnormal, while prefactors up to 2.4e7 at small v keep entries normal
+    geom = SubstrateGeometry(z_a=x_gain / (2.0 * (1.0 + omega_sp) / v))
+    p = SlabMotionParams(drude=DrudeParams(omega_sp), v=v, geometry=geom)
+    pair = tensors(p)
+    for t, k in ((pair.loss, p.k_loss), (pair.gain, p.k_gain)):
+        ref = split_channel(k, p, k012)
+        np.testing.assert_allclose(t, ref, rtol=1e-14, atol=1e-14 * np.abs(ref).max())
 
 
 def circular_projector(k, p):

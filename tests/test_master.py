@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from lindgain import (
@@ -409,6 +409,11 @@ class TestEvolve:
         with pytest.raises(NumericalInstabilityError, match="negative eigenvalue"):
             DensityMatrix(np.array([[1.0, 2.0], [2.0, 0.0]]), TWO_LEVEL_LABELS)
 
+    @pytest.mark.parametrize("t_max", [np.nan, np.inf])
+    def test_non_finite_t_max_rejected(self, t_max):
+        with pytest.raises(DomainError, match="t_max must be finite"):
+            evolve(liouvillian(RatePair(0.1, 0.05)), pure_state(0, 2), t_max, 10)
+
     def test_chiral_decay_of_e2(self):
         rm = RateMatrices(loss=np.diag([0.1, 0.175]), gain=np.diag([0.075, 0.0]))
         traj = evolve(liouvillian(rm), pure_state(2, 3), 500.0, 1000)
@@ -715,3 +720,73 @@ class TestLinearFamily:
             steady_linear_family(0.3, fig3)
         with pytest.raises(ValidationError, match="rates are not in"):
             fit_linear_family_theta(member, fig3)
+
+
+def slab_at(omega_sp, v, x_loss):
+    """The moving slab whose loss argument 2|k_loss|z_a is x_loss."""
+    z_a = x_loss * v / (2.0 * abs(1.0 - omega_sp))
+    return SlabMotionParams(
+        drude=DrudeParams(omega_sp=omega_sp), v=v, geometry=SubstrateGeometry(z_a=z_a)
+    )
+
+
+# omega_sp on both sides of omega_a = 1, so k_loss takes both signs.  The
+# loss argument 2|k_loss|z_a lies in [0.2, 10], the gain one above it: the
+# loss tensor's eigenvalues spread as about 8 x^2 with it, and the rounding
+# of the state with them, to 6e-13 at x = 50
+SLABS = (
+    st.one_of(st.floats(0.05, 0.95), st.floats(1.05, 10.0)),
+    st.floats(0.01, 1.0),
+    st.floats(0.2, 10.0),
+)
+
+
+class TestTimeReversal:
+    """Chirality alone does not break time-reversal symmetry.  A passive
+    environment, however chiral, relaxes to the Gibbs state, and the mirror
+    image of the dipole gives the mirror image of the state.  Both hold for
+    the kernel solver and for the closed forms."""
+
+    def assert_states(self, rates, expected):
+        rho, _ = steady_states(liouvillian(rates)[None])
+        np.testing.assert_allclose(rho[0], expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(CLOSED[rates.m](rates).rho, expected, rtol=0, atol=1e-12)
+
+    @staticmethod
+    def gibbs(n, m):
+        """diag(1 + n, n, ..., n) / (1 + (m + 1) n) for m excited levels."""
+        return np.diag([1.0 + n] + [n] * m) / (1.0 + (m + 1) * n)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @given(st.integers(0, 2**32 - 1), st.floats(-3.0, 1.0), st.floats(0.0, 5.0))
+    def test_passive_rates_relax_to_gibbs(self, m, seed, log_scale, n):
+        # loss (1 + n) A and gain n A, for a random complex PSD A
+        rng = np.random.default_rng(seed)
+        b = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+        a = 10.0**log_scale * (b @ b.conj().T)
+        self.assert_states(RateMatrices(loss=(1.0 + n) * a, gain=n * a), self.gibbs(n, m))
+
+    @given(*SLABS, st.floats(0.0, 5.0))
+    def test_passive_slab_relaxes_to_gibbs(self, omega_sp, v, x_loss, n):
+        # the slab's gain tensor replaced by n times its loss tensor T, and
+        # T by (1 + n) T: a passive medium at occupation n
+        t = moving_slab_tensors_exact(slab_at(omega_sp, v, x_loss)).loss
+        q = QubitSpec(model=V_SHAPED, dipole=np.array([1.0, 0.0, 1.0j]) / np.sqrt(2.0))
+        rates = rate_matrices(q, InteractionTensorPair((1.0 + n) * t, n * t))
+        self.assert_states(rates, self.gibbs(n, 2))
+
+    @given(*SLABS, st.integers(0, 2**32 - 1), st.floats(0.0, 5.0))
+    def test_conjugate_dipole_swaps_e1_e2(self, omega_sp, v, x_loss, seed, n):
+        slab = moving_slab_tensors_exact(slab_at(omega_sp, v, x_loss))
+        pair = thermal(slab, ThermalOccupation(n))
+        rng = np.random.default_rng(seed)
+        d = rng.normal(size=3) + 1j * rng.normal(size=3)
+        # far from a real dipole, whose two rate channels coincide
+        assume(abs(d @ d) <= 0.9 * np.vdot(d, d).real)
+        rates, mirror = (
+            rate_matrices(QubitSpec(model=V_SHAPED, dipole=dipole), pair)
+            for dipole in (d, d.conj())
+        )
+        rho, _ = steady_states(liouvillian(rates)[None])
+        swap = np.ix_([0, 2, 1], [0, 2, 1])
+        self.assert_states(mirror, rho[0][swap])
