@@ -33,6 +33,8 @@ def load_config(path: str) -> dict:
         text = Path(path).read_text()
     except OSError as exc:
         raise ValidationError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"config {path} is not text: {exc}") from exc
     try:
         # json accepts NaN, Infinity and literals that overflow a float
         cfg = json.loads(
@@ -43,6 +45,8 @@ def load_config(path: str) -> dict:
         )
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ValidationError(f"config {path} is nested too deeply: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ValidationError("config root must be a JSON object")
     return cfg
@@ -274,15 +278,12 @@ def write_trajectory_csv(path: Path, traj: master.Trajectory) -> None:
 
 
 def _svg_line_chart(
-    series: list[tuple[str, np.ndarray, np.ndarray]],
-    xlabel: str,
-    ylabel: str,
-    logx: bool = False,
+    series: list[tuple[str, np.ndarray, np.ndarray]], xlabel: str, ylabel: str
 ) -> str:
     """Minimal deterministic SVG line chart (no external plotting service);
     the k-th series is drawn in COLORS[k]."""
     w, h, pad = 640, 420, 56
-    xs = np.concatenate([np.log10(s[1]) if logx else s[1] for s in series])
+    xs = np.concatenate([s[1] for s in series])
     ys = np.concatenate([s[2] for s in series])
     x0, x1 = float(xs.min()), float(xs.max())
     y0, y1 = float(ys.min()), float(ys.max())
@@ -310,8 +311,7 @@ def _svg_line_chart(
     ]
     for k, (label, x, y) in enumerate(series):
         color = COLORS[k]
-        xv = np.log10(x) if logx else x
-        pts = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(xv, y))
+        pts = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(x, y))
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
@@ -336,11 +336,27 @@ def _complex_matrix_json(m: np.ndarray) -> dict:
     }
 
 
+def _write_json(path: Path, record: dict) -> None:
+    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+
+
+def _write(out_dir: Path, quiet: bool, *files) -> int:
+    """Create ``out_dir``, write each ``(name, writer, data)`` in order as
+    ``writer(out_dir / name, data)`` and report the first unless ``quiet``."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, write, data in files:
+        write(out_dir / name, data)
+    if not quiet:
+        print(f"wrote {out_dir / files[0][0]}")
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def run_evolve(cfg: dict, out_dir: Path, quiet: bool = False) -> int:
+def _run_trajectory(cfg: dict, out_dir: Path, stem: str, quiet: bool) -> int:
+    """The trajectory a config describes, written to ``stem``.csv and .svg."""
     model = build_rate_model(cfg)
     qm = model["qubit"].model
     rho0 = _field(cfg, "evolution.initial_state", lambda v: parse_initial_state(v, qm))
@@ -350,14 +366,15 @@ def run_evolve(cfg: dict, out_dir: Path, quiet: bool = False) -> int:
         t_max=_field(cfg, "evolution.t_max", _real),
         n_steps=_field(cfg, "evolution.n_steps", _integer),
     )
-    plot = _field(cfg, "output.plot", _boolean, default=True)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_trajectory_csv(out_dir / "trajectory.csv", traj)
-    if plot:
-        _plot_trajectory(out_dir / "trajectory.svg", traj)
-    if not quiet:
-        print(f"wrote {out_dir / 'trajectory.csv'}")
-    return 0
+    # the writers are looked up here, so a wrapper installed on this module sees them
+    files = [(f"{stem}.csv", write_trajectory_csv, traj)]
+    if _field(cfg, "output.plot", _boolean, default=True):
+        files.append((f"{stem}.svg", _plot_trajectory, traj))
+    return _write(out_dir, quiet, *files)
+
+
+def run_evolve(cfg: dict, out_dir: Path, quiet: bool = False) -> int:
+    return _run_trajectory(cfg, out_dir, "trajectory", quiet)
 
 
 def run_steady(cfg: dict, out_dir: Path, quiet: bool = False) -> int:
@@ -382,12 +399,7 @@ def run_steady(cfg: dict, out_dir: Path, quiet: bool = False) -> int:
         theta, residual = master.fit_linear_family_theta(state, rates)
         record["theta"] = theta
         record["closed_form_match"] = bool(residual <= 1e-8)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "steady.json"
-    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    if not quiet:
-        print(f"wrote {path}")
-    return 0
+    return _write(out_dir, quiet, ("steady.json", _write_json, record))
 
 
 def run_rates(cfg: dict, out_dir: Path, quiet: bool = False) -> int:
@@ -407,12 +419,7 @@ def run_rates(cfg: dict, out_dir: Path, quiet: bool = False) -> int:
             record[key] = float(m[0, 0].real)
         else:
             record[f"{key}_matrix"] = _complex_matrix_json(m)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "rates.json"
-    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    if not quiet:
-        print(f"wrote {path}")
-    return 0
+    return _write(out_dir, quiet, ("rates.json", _write_json, record))
 
 
 def run_spectrum(
@@ -442,35 +449,37 @@ def run_spectrum(
         else np.array([omega_min])
     )
     s = correlations.field_spectrum(split, geom, omega_min, n_omega).real
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "spectrum.csv"
-    _write_csv(path, {
+    columns = {
         "omega": omegas,
         "occupation": np.full_like(omegas, n_omega),
         **{f"s_{x}{x}": np.full_like(omegas, s[k, k]) for k, x in enumerate("xyz")},
-    })
-    if not quiet:
-        print(f"wrote {path}")
-    return 0
+    }
+    return _write(out_dir, quiet, ("spectrum.csv", _write_csv, columns))
 
 
 # ---------------------------------------------------------------------------
 # figure presets
 
-FIG2_RATES = master.RateMatrices(
-    loss=0.1 * np.ones((2, 2)), gain=0.05 * np.ones((2, 2))
-)
 FIG3_RATES = master.RateMatrices(
     loss=np.diag([0.1, 0.175]), gain=np.diag([0.075, 0.0])
 )
-PRESET_T_MAX = 500.0
-PRESET_N_STEPS = 2000
 
+
+def _v_preset(gamma_l, gamma_g, initial_state: str) -> dict:
+    """The evolve config of a V-shaped emitter under fixed rates."""
+    return {
+        "qubit": {"model": master.V_SHAPED},
+        "environment": {"abstract_rates": {"gamma_l": gamma_l, "gamma_g": gamma_g}},
+        "evolution": {"initial_state": initial_state, "t_max": 500.0, "n_steps": 2000},
+    }
+
+
+# the trajectory presets: each is an evolve config
 FIGURE_PRESETS = {
-    "fig2a": (FIG2_RATES, "e1"),
-    "fig2b": (FIG2_RATES, "bright"),
-    "fig2c": (FIG2_RATES, "g"),
-    "fig3a": (FIG3_RATES, "e2"),
+    "fig2a": _v_preset(0.1, 0.05, "e1"),
+    "fig2b": _v_preset(0.1, 0.05, "bright"),
+    "fig2c": _v_preset(0.1, 0.05, "g"),
+    "fig3a": _v_preset(FIG3_RATES.loss.real.tolist(), FIG3_RATES.gain.real.tolist(), "e2"),
 }
 # every figure name: the trajectory presets, then the steady-state sweep
 FIGURES = (*FIGURE_PRESETS, "fig3b")
@@ -499,27 +508,17 @@ def fig3b_sweep(n_points: int = 64) -> np.ndarray:
 def run_figure(name: str, out_dir: Path, quiet: bool = False) -> int:
     if name not in FIGURES:
         raise ValidationError(f"unknown figure preset {name!r}")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / f"{name}.csv"
     if name in FIGURE_PRESETS:
-        rates, init = FIGURE_PRESETS[name]
-        rho0 = parse_initial_state(init, master.V_SHAPED)
-        traj = master.evolve(
-            master.liouvillian(rates), rho0, PRESET_T_MAX, PRESET_N_STEPS
-        )
-        write_trajectory_csv(csv_path, traj)
-        _plot_trajectory(out_dir / f"{name}.svg", traj)
-    else:
-        data = fig3b_sweep()
-        pops = _populations(master.V_LABELS, data[:, 1:])
-        _write_csv(csv_path, {"n": data[:, 0], **pops})
-        series = [(label, data[:, 0], p) for label, p in pops.items()]
-        (out_dir / f"{name}.svg").write_text(
-            _svg_line_chart(series, "log10 occupation", "population", logx=True)
-        )
-    if not quiet:
-        print(f"wrote {csv_path}")
-    return 0
+        return _run_trajectory(FIGURE_PRESETS[name], out_dir, name, quiet)
+    data = fig3b_sweep()
+    pops = _populations(master.V_LABELS, data[:, 1:])
+    series = [(label, np.log10(data[:, 0]), p) for label, p in pops.items()]
+    svg = _svg_line_chart(series, "log10 occupation", "population")
+    return _write(
+        out_dir, quiet,
+        (f"{name}.csv", _write_csv, {"n": data[:, 0], **pops}),
+        (f"{name}.svg", Path.write_text, svg),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -114,46 +114,63 @@ def _bessel_k012(x: float) -> np.ndarray:
     return span * (np.cosh(_BESSEL_ORDERS * t) @ (_TRAPEZOID_WEIGHTS * damping))
 
 
-def _leading_k012(x: float) -> tuple[float, float, float]:
-    """The leading term sqrt(pi / 2x) that e^x K_0, e^x K_1 and e^x K_2
-    share at large x (DLMF 10.40.2)."""
-    return (math.sqrt(math.pi / (2.0 * x)),) * 3
+def _exact_terms(x: float) -> tuple[float, float, float]:
+    """e^x K_0, e^x K_1 and e^x (K_2 - K_0), the last as 2 e^x K_1 / x
+    (DLMF 10.29.1): the difference itself keeps only about 13 digits at
+    x = 700."""
+    k0, k1, _ = _bessel_k012(x)
+    return k0, k1, 2.0 * k1 / x
+
+
+def _leading_terms(x: float) -> tuple[float, float, float]:
+    """The same at large x (DLMF 10.40.2): e^x K_0 and e^x K_1 both tend to
+    sqrt(pi / 2x), as e^x K_2 does, so K_2 - K_0 is 0."""
+    lead = math.sqrt(math.pi / (2.0 * x))
+    return lead, lead, 0.0
 
 
 MIN_EXACT_ARG = 0.1
 MIN_ASYMPTOTIC_ARG = 5.0
 
-# each slab mode: its e^x K_0, e^x K_1, e^x K_2, its least 2|k|z_a and what
-# it says below it
+# each slab mode: its e^x K_0, e^x K_1, e^x (K_2 - K_0), its least 2|k|z_a
+# and what it says below it
 _SLAB_FORMS = {
-    "exact": (_bessel_k012, MIN_EXACT_ARG, "closed form unreliable"),
-    "asymptotic": (_leading_k012, MIN_ASYMPTOTIC_ARG, "asymptotic form invalid"),
+    "exact": (_exact_terms, MIN_EXACT_ARG, "closed form unreliable"),
+    "asymptotic": (_leading_terms, MIN_ASYMPTOTIC_ARG, "asymptotic form invalid"),
 }
 
 
 def _slab_channel(k: float, p: SlabMotionParams, channel: str, form: str) -> np.ndarray:
-    """Closed-form tensor of one channel.  With the three K's equal, as in
-    the asymptotic form, K_2 - K_0 is 0 and the xz block is c [[1, -is],
-    [is, 1]]: a rank-1 circular projector of handedness s = sign(k)."""
-    k012, min_arg, invalid = _SLAB_FORMS[form]
+    """Closed-form tensor of one channel.  With K_2 - K_0 = 0 and K_0 = K_1,
+    as in the asymptotic form, the xz block is c [[1, -is], [is, 1]]: a
+    rank-1 circular projector of handedness s = sign(k)."""
+    terms, min_arg, invalid = _SLAB_FORMS[form]
     x = 2.0 * abs(k) * p.geometry.z_a
     if x < min_arg:
         raise OutOfValidityError(
             f"channel {channel}: 2|k|z_a = {x:.3g} < {min_arg}; {invalid}"
         )
+    # checked as k * k, which is inf where k**2 raises OverflowError (|k| >
+    # 1.3e154); the tensor keeps k**2, which rounds apart from k * k for
+    # about one k in a thousand, so its bits do not move
+    if not k * k * p.drude.omega_sp / p.v / (16.0 * np.pi) < np.inf:
+        raise DomainError(
+            f"channel {channel}: prefactor k^2 omega_sp / (16 pi v) overflows "
+            f"at k = {k:.3g}, v = {p.v:.3g}"
+        )
     # e^-x is applied as two halves h, one on each side of the prefactor, so
     # no factor leaves the normal range while the tensor is in it.  h is 0
     # beyond x = 1490.3, and the tensor with it for any double prefactor: the
     # cap on the K's argument only keeps x = inf finite
-    k0, k1, k2 = k012(min(x, 1500.0))
+    k0, k1, d = terms(min(x, 1500.0))
     h = math.exp(-0.5 * x)
     s = np.sign(k)
     pref = k**2 * p.drude.omega_sp / p.v / (16.0 * np.pi)
     mat = np.array(
         [
             [2.0 * k0, 0.0, -2.0j * s * k1],
-            [0.0, k2 - k0, 0.0],
-            [2.0j * s * k1, 0.0, k2 + k0],
+            [0.0, d, 0.0],
+            [2.0j * s * k1, 0.0, 2.0 * k0 + d],
         ],
         dtype=complex,
     )

@@ -34,11 +34,19 @@ from lindgain import (
     thermal,
     trace_residual,
 )
-from lindgain.cli import FIG2_RATES, FIG3_RATES, fig3b_sweep, main, parse_initial_state
+from lindgain.cli import (
+    FIG3_RATES,
+    FIGURE_PRESETS,
+    build_rate_model,
+    fig3b_sweep,
+    main,
+    parse_initial_state,
+)
 from lindgain.master import DensityMatrix
 
 SPLIT = ScalarPermittivitySplit(eps=-1 + 0.2j, eps_loss=0.3, eps_gain=-0.1)
 GEOM = SubstrateGeometry(z_a=1.0)
+FIG2_PRESET_RATES = build_rate_model(FIGURE_PRESETS["fig2a"])["rates"]
 
 
 def finish(num, label, failures):
@@ -106,7 +114,7 @@ def test_criterion_2_v_closed_form():
 
 def test_criterion_3_memory_effect():
     failures = []
-    L = liouvillian(FIG2_RATES)
+    L = liouvillian(FIG2_PRESET_RATES)
     family_rates = RatePair(gamma_loss=0.1, gamma_gain=0.05)
     targets = {
         "e1": (1 / 3, 1 / 3, 1 / 3, -1 / 6),
@@ -247,7 +255,7 @@ def test_criterion_9_well_posedness():
     failures = []
     scenarios = []
     for init in ("e1", "bright", "g"):
-        scenarios.append((f"fig2 {init}", liouvillian(FIG2_RATES), init))
+        scenarios.append((f"fig2 {init}", liouvillian(FIG2_PRESET_RATES), init))
     scenarios.append(("fig3a", liouvillian(FIG3_RATES), "e2"))
     qubit = QubitSpec(model="two_level", dipole=[1.0, 0.0, 0.0])
     sub_rates = rate_matrices(qubit, isotropic_gain_tensors(SPLIT, GEOM))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lindgain import DrudeParams, RateMatrices, greens, steady_v_closed
-from lindgain.cli import build_rate_model, main
+from lindgain.cli import FIGURE_PRESETS, build_rate_model, main
 
 SUBSTRATE_CFG = {
     "qubit": {"model": "two_level", "dipole": [1.0, 0.0, 0.0]},
@@ -116,6 +116,21 @@ def test_non_finite_config_rejected(tmp_path, command, literal):
     out = tmp_path / "out"
     rc = main([command, "--config", str(path), "--out", str(out), "--quiet"])
     assert rc == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [b"[" * 100_000 + b"]" * 100_000, b"\xff\xfe{}"],
+    ids=["nested_100000_deep", "utf16_bom"],
+)
+def test_unparsable_config_rejected(tmp_path, capsys, raw):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(raw)
+    out = tmp_path / "out"
+    rc = main(["rates", "--config", str(path), "--out", str(out), "--quiet"])
+    assert rc == 2
+    assert f"config {path}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -307,6 +322,19 @@ def test_slab_channels_use_the_qubit_frequency(tmp_path):
 def test_slab_resonance_is_at_the_qubit_frequency(tmp_path, omega_a, omega_sp, code):
     rc, _ = _slab_rates(tmp_path, omega_a, omega_sp)
     assert rc == code
+
+
+def test_slab_prefactor_overflow_rejected(tmp_path, capsys):
+    # k_loss = -1e160, whose square overflows a double
+    cfg = {
+        "qubit": {"model": "v_shaped"},
+        "environment": {"moving_slab": {"omega_sp": 2.0, "v": 1e-160, "z_a": 1e-150}},
+    }
+    out = tmp_path / "out"
+    rc = main(["rates", "--config", write_cfg(tmp_path, cfg), "--out", str(out), "--quiet"])
+    assert rc == 4
+    assert "prefactor" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -539,6 +567,20 @@ class TestFigurePresets:
             data[0, 1:], [4 / 7, 3 / 7, 0.0], atol=1e-2
         )
         np.testing.assert_allclose(data[-1, 1:], 1 / 3, atol=1e-2)
+
+    @pytest.mark.parametrize("name", list(FIGURE_PRESETS))
+    def test_preset_is_its_evolve_config(self, tmp_path, capsys, name):
+        cfg = write_cfg(tmp_path, FIGURE_PRESETS[name])
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "evolve")]) == 0
+        assert main(["figure", name, "--out", str(tmp_path / "figure")]) == 0
+        assert capsys.readouterr().out.split("\n")[:2] == [
+            f"wrote {tmp_path / 'evolve' / 'trajectory.csv'}",
+            f"wrote {tmp_path / 'figure' / name}.csv",
+        ]
+        for ext in ("csv", "svg"):
+            assert (tmp_path / "evolve" / f"trajectory.{ext}").read_bytes() == (
+                tmp_path / "figure" / f"{name}.{ext}"
+            ).read_bytes()
 
     def test_determinism(self, tmp_path):
         for d in ("a", "b"):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import kn, kve
@@ -215,6 +215,41 @@ def test_full_precision_near_underflow(tensors, k012, omega_sp, v, x_gain):
     for t, k in ((pair.loss, p.k_loss), (pair.gain, p.k_gain)):
         ref = split_channel(k, p, k012)
         np.testing.assert_allclose(t, ref, rtol=1e-14, atol=1e-14 * np.abs(ref).max())
+
+
+@given(
+    st.one_of(st.floats(0.05, 0.95), st.floats(1.05, 10.0)),
+    st.floats(0.01, 1.0),
+    st.floats(0.1, 745.0),
+)
+# the loss argument 669.3, where K_2 - K_0 lost 2.1e-13 to cancellation
+@example(omega_sp=2.0, v=0.02, x_loss=669.3)
+def test_yy_entry_is_the_recurrence(omega_sp, v, x_loss):
+    # the yy entry is e^-x (K_2 - K_0) = 2 e^-x K_1 / x (DLMF 10.29.1) times
+    # the prefactor, checked where it is a normal number
+    k_loss = (1.0 - omega_sp) / v
+    geom = SubstrateGeometry(z_a=x_loss / (2.0 * abs(k_loss)))
+    p = SlabMotionParams(drude=DrudeParams(omega_sp), v=v, geometry=geom)
+    x = 2.0 * abs(p.k_loss) * geom.z_a
+    h = np.exp(-0.5 * x)
+    pref = p.k_loss**2 * omega_sp / v / (16.0 * np.pi)
+    ref = (pref * h) * (2.0 * kve(1, x) / x) * h
+    assume(x >= 0.1 and ref >= np.finfo(float).tiny)
+    yy = moving_slab_tensors_exact(p).loss[1, 1]
+    assert yy.imag == 0.0
+    assert yy.real == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "tensors",
+    [moving_slab_tensors_exact, moving_slab_tensors_asymptotic],
+    ids=["exact", "asymptotic"],
+)
+def test_prefactor_overflow_rejected(tensors):
+    # k_loss = -1e160: k^2 overflows, though 2|k|z_a = 2e10 is finite
+    p = SlabMotionParams(drude=DrudeParams(2.0), v=1e-160, geometry=SubstrateGeometry(1e-150))
+    with pytest.raises(DomainError, match="prefactor"):
+        tensors(p)
 
 
 def circular_projector(k, p):
