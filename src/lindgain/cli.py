@@ -443,11 +443,7 @@ def run_spectrum(
         raise ValidationError("spectrum requires environment.isotropic_substrate")
     split, geom = _build_substrate(cfg)
     n_omega = _occupation(cfg).n
-    omegas = (
-        np.linspace(omega_min, omega_max, n_points)
-        if n_points > 1
-        else np.array([omega_min])
-    )
+    omegas = np.linspace(omega_min, omega_max, n_points)
     s = correlations.field_spectrum(split, geom, omega_min, n_omega).real
     columns = {
         "omega": omegas,

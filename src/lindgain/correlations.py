@@ -9,17 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import _check_positive
 from .greens import SubstrateGeometry, isotropic_gain_tensors
 from .material import ScalarPermittivitySplit
-
-
-def _check_domain(omega: float, n_omega: float) -> None:
-    # written so that NaN fails both
-    if not 0.0 < omega < np.inf:
-        raise DomainError(f"omega must be finite and > 0, got {omega}")
-    if not 0.0 <= n_omega < np.inf:
-        raise DomainError(f"occupation must be finite and >= 0, got {n_omega}")
 
 
 def field_spectrum(
@@ -33,7 +25,8 @@ def field_spectrum(
     the sign carried by the gain response is absorbed into the definition of
     the gain tensor, which is PSD.
     """
-    _check_domain(omega, n_omega)
+    _check_positive("omega", omega)
+    _check_positive("occupation", n_omega, zero_ok=True)
     pair = isotropic_gain_tensors(split_at_omega, geom)
     return (2.0 / np.pi) * (n_omega + 0.5) * (pair.loss + pair.gain)
 
@@ -44,7 +37,8 @@ def noise_current_spectrum(
     """Local noise-current spectral density
     (2/pi)(N + 1/2) omega^2 (eps''_L - eps''_G) * identity for a scalar medium.
     Gain increases the noise even though it reduces the net absorption."""
-    _check_domain(omega, n_omega)
+    _check_positive("omega", omega)
+    _check_positive("occupation", n_omega, zero_ok=True)
     strength = (
         (2.0 / np.pi)
         * (n_omega + 0.5)

@@ -3,6 +3,8 @@
 Each class carries the process exit code used by the command line front end.
 """
 
+import math
+
 
 class LindgainError(Exception):
     """Base class for all package errors."""
@@ -18,6 +20,14 @@ class ValidationError(LindgainError):
 
 class DomainError(LindgainError):
     """Argument outside the mathematical domain of an operation."""
+
+
+def _check_positive(name: str, value, zero_ok: bool = False) -> None:
+    """Raise DomainError unless ``value`` is finite and > 0 (>= 0 with
+    ``zero_ok``); NaN fails both tests."""
+    ok = 0.0 <= value < math.inf if zero_ok else 0.0 < value < math.inf
+    if not ok:
+        raise DomainError(f"{name} must be finite and {'>=' if zero_ok else '>'} 0, got {value}")
 
 
 class SingularityError(DomainError):

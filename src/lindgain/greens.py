@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, OracleError, OutOfValidityError, SingularityError
+from .errors import DomainError, OracleError, OutOfValidityError, SingularityError, _check_positive
 from .material import (
     RESONANCE_TOL,
     DrudeParams,
@@ -31,9 +31,7 @@ class SubstrateGeometry:
     z_a: float
 
     def __post_init__(self):
-        # written so that NaN fails it
-        if not 0.0 < self.z_a < np.inf:
-            raise DomainError(f"z_a must be finite and > 0, got {self.z_a}")
+        _check_positive("z_a", self.z_a)
 
 
 @dataclass(frozen=True)
@@ -49,13 +47,9 @@ class SlabMotionParams:
     omega_a: float = 1.0
 
     def __post_init__(self):
-        # written so that NaN fails them
-        if not 0.0 < self.v < np.inf:
-            raise DomainError(f"slab velocity v must be finite and > 0, got {self.v}")
-        if not 0.0 <= self.g00 < np.inf:
-            raise DomainError(f"g00 must be finite and >= 0, got {self.g00}")
-        if not 0.0 < self.omega_a < np.inf:
-            raise DomainError(f"omega_a must be finite and > 0, got {self.omega_a}")
+        _check_positive("slab velocity v", self.v)
+        _check_positive("g00", self.g00, zero_ok=True)
+        _check_positive("omega_a", self.omega_a)
         if abs(self.omega_a - self.drude.omega_sp) < 1e-12 * self.omega_a:
             raise DomainError(
                 "omega_a = omega_sp (k_L = 0) is an unresolved limit; rejected"
@@ -88,7 +82,12 @@ def isotropic_gain_tensors(
     substrate: |eps''_{L,G}| / |eps+1|^2 / (16 pi z_a^3) * diag(1, 1, 2)."""
     if abs(split.eps + 1.0) <= RESONANCE_TOL:
         raise SingularityError("eps = -1: surface-plasmon resonance singularity")
-    base = 1.0 / (16.0 * np.pi * geom.z_a**3 * abs(split.eps + 1.0) ** 2)
+    denom = 16.0 * np.pi * geom.z_a**3 * abs(split.eps + 1.0) ** 2
+    # z_a^3 is 0 below z_a = 1e-108.  The check is of the largest entry, zz,
+    # as numpy forms it below; NaN, 0 * inf, fails it
+    base = 1.0 / denom if denom > 0.0 else math.inf
+    if not max(split.eps_loss, abs(split.eps_gain)) * base * 2.0 < math.inf:
+        raise DomainError(f"substrate tensors overflow a double at z_a = {geom.z_a}")
     loss = split.eps_loss * base * _ISO_SHAPE.astype(complex)
     gain = abs(split.eps_gain) * base * _ISO_SHAPE.astype(complex)
     return InteractionTensorPair(loss=loss, gain=gain)
@@ -117,8 +116,9 @@ def _bessel_k012(x: float) -> np.ndarray:
 def _exact_terms(x: float) -> tuple[float, float, float]:
     """e^x K_0, e^x K_1 and e^x (K_2 - K_0), the last as 2 e^x K_1 / x
     (DLMF 10.29.1): the difference itself keeps only about 13 digits at
-    x = 700."""
-    k0, k1, _ = _bessel_k012(x)
+    x = 700.  Python floats, so that the overflow check of a channel warns
+    of nothing."""
+    k0, k1, _ = _bessel_k012(x).tolist()
     return k0, k1, 2.0 * k1 / x
 
 
@@ -150,20 +150,22 @@ def _slab_channel(k: float, p: SlabMotionParams, channel: str, form: str) -> np.
         raise OutOfValidityError(
             f"channel {channel}: 2|k|z_a = {x:.3g} < {min_arg}; {invalid}"
         )
-    # checked as k * k, which is inf where k**2 raises OverflowError (|k| >
-    # 1.3e154); the tensor keeps k**2, which rounds apart from k * k for
-    # about one k in a thousand, so its bits do not move
-    if not k * k * p.drude.omega_sp / p.v / (16.0 * np.pi) < np.inf:
-        raise DomainError(
-            f"channel {channel}: prefactor k^2 omega_sp / (16 pi v) overflows "
-            f"at k = {k:.3g}, v = {p.v:.3g}"
-        )
     # e^-x is applied as two halves h, one on each side of the prefactor, so
     # no factor leaves the normal range while the tensor is in it.  h is 0
     # beyond x = 1490.3, and the tensor with it for any double prefactor: the
     # cap on the K's argument only keeps x = inf finite
     k0, k1, d = terms(min(x, 1500.0))
     h = math.exp(-0.5 * x)
+    # the largest entry, zz (2 K_1 <= 2 K_0 + 2 K_1 / x), as numpy forms it below
+    # but with k * k, which is inf where k**2 raises OverflowError (|k| >
+    # 1.3e154); NaN, inf * 0 at h = 0, fails it.  The tensor keeps k**2, whose
+    # bits k * k would move for about one k in a thousand
+    zz = (k * k * p.drude.omega_sp / p.v / (16.0 * np.pi) * h) * (2.0 * k0 + d) * h
+    if not zz < math.inf:
+        raise DomainError(
+            f"channel {channel}: prefactor k^2 omega_sp / (16 pi v) overflows the "
+            f"tensor at k = {k:.3g}, v = {p.v:.3g}, 2|k|z_a = {x:.3g}"
+        )
     s = np.sign(k)
     pref = k**2 * p.drude.omega_sp / p.v / (16.0 * np.pi)
     mat = np.array(
@@ -264,9 +266,7 @@ def moving_slab_quadrature_oracle(p: SlabMotionParams) -> InteractionTensorPair:
 def add_background_loss(pair: InteractionTensorPair, g00: float) -> InteractionTensorPair:
     """Add a scalar background-loss term g00 * identity to the loss tensor
     (collisions in the metal, free-space spontaneous emission)."""
-    # written so that NaN fails it
-    if not 0.0 <= g00 < np.inf:
-        raise DomainError(f"g00 must be finite and >= 0, got {g00}")
+    _check_positive("g00", g00, zero_ok=True)
     return InteractionTensorPair(
         loss=pair.loss + g00 * np.eye(3), gain=pair.gain.copy()
     )

@@ -19,6 +19,7 @@ from .errors import (
     NumericalInstabilityError,
     SpectralToleranceError,
     ValidationError,
+    _check_positive,
 )
 from .greens import InteractionTensorPair
 from .material import safe_norm
@@ -30,6 +31,7 @@ KERNEL_TOL = 1e-10
 TRACE_TOL = 1e-9
 POSITIVITY_TOL = 1e-9
 HERMITICITY_TOL = 1e-9
+_TINY = np.finfo(float).tiny
 
 LABELS = {2: ("g", "e"), 3: ("g", "e1", "e2")}
 TWO_LEVEL_LABELS = LABELS[2]
@@ -55,9 +57,7 @@ class QubitSpec:
         if not d.any():
             raise ValidationError("dipole must be nonzero")
         object.__setattr__(self, "dipole", d)
-        # written so that NaN fails it
-        if not 0.0 < self.omega_a < np.inf:
-            raise DomainError(f"omega_a must be finite and > 0, got {self.omega_a}")
+        _check_positive("omega_a", self.omega_a)
 
     @property
     def dipoles(self) -> list[np.ndarray]:
@@ -73,9 +73,7 @@ class ThermalOccupation:
     n: float
 
     def __post_init__(self):
-        # written so that NaN fails it
-        if not 0.0 <= self.n < np.inf:
-            raise DomainError(f"occupation must be finite and >= 0, got {self.n}")
+        _check_positive("occupation", self.n, zero_ok=True)
 
 
 @dataclass(frozen=True)
@@ -97,7 +95,9 @@ class RateMatrices:
             name = "gain" if np.isfinite(mats[0]).all() else "loss"
             raise ValidationError(f"{name} rate matrix has non-finite entries")
         adj = mats.conj().transpose(0, 2, 1)
-        norm = safe_norm(mats)
+        # a subnormal norm is judged as the least normal one, where 1e-10
+        # of it is still above the rounding of subnormal entries
+        norm = np.maximum(safe_norm(mats), _TINY)
         asym = np.abs(mats - adj).max(axis=(1, 2))
         mats = 0.5 * (mats + adj)
         min_eig = np.linalg.eigvalsh(mats)[:, 0]
@@ -242,9 +242,7 @@ def liouvillian(rates: RateMatrices, omega_a: float = 1.0) -> np.ndarray:
     """Generator -i omega_a [E, .] + sum_ij loss_ij D[s_j, s_i^+]
     + gain_ij D[s_i^+, s_j] of the qubit with m = rates.m excited levels, as
     a complex (d^2, d^2) array over the row-major vectorized state, d = m + 1."""
-    # written so that NaN fails it
-    if not 0.0 < omega_a < np.inf:
-        raise DomainError(f"omega_a must be finite and > 0, got {omega_a}")
+    _check_positive("omega_a", omega_a)
     ham, d_loss, d_gain = _superoperators(rates.m)
     mat = -1j * (omega_a * ham)
     for i in range(rates.m):
@@ -276,9 +274,7 @@ def evolve(
     # the only scipy this package loads outside its quadrature oracle
     from scipy.linalg import expm
 
-    # written so that NaN fails it
-    if not 0.0 < t_max < np.inf:
-        raise DomainError(f"t_max must be finite and > 0, got {t_max}")
+    _check_positive("t_max", t_max)
     if n_steps < 2:
         raise DomainError("n_steps must be >= 2")
     dim = _state_dim(L)

@@ -8,11 +8,12 @@ in units of the qubit transition frequency and permittivities are relative.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SingularityError, ValidationError
+from .errors import SingularityError, ValidationError, _check_positive
 
 
 def safe_norm(m: np.ndarray):
@@ -39,10 +40,12 @@ class ScalarPermittivitySplit:
     eps_gain: float
 
     def __post_init__(self):
-        if self.eps_loss < 0:
+        if not (math.isfinite(self.eps_loss) and self.eps_loss >= 0):
             raise ValidationError("eps_loss must be >= 0")
-        if self.eps_gain > 0:
+        if not (math.isfinite(self.eps_gain) and self.eps_gain <= 0):
             raise ValidationError("eps_gain must be <= 0")
+        if not (math.isfinite(self.eps.real) and math.isfinite(self.eps.imag)):
+            raise ValidationError(f"eps must be finite, got {self.eps}")
         if abs(self.eps.imag - (self.eps_loss + self.eps_gain)) > 1e-12:
             raise ValidationError(
                 "imag(eps) must equal eps_loss + eps_gain to 1e-12"
@@ -62,9 +65,7 @@ class DrudeParams:
     omega_sp: float
 
     def __post_init__(self):
-        # written so that NaN fails it
-        if not 0.0 < self.omega_sp < np.inf:
-            raise DomainError(f"omega_sp must be finite and > 0, got {self.omega_sp}")
+        _check_positive("omega_sp", self.omega_sp)
 
 
 RESONANCE_TOL = 1e-12

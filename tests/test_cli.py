@@ -337,6 +337,37 @@ def test_slab_prefactor_overflow_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["rates", "steady"])
+def test_slab_tensor_overflow_near_least_argument_rejected(tmp_path, capsys, command):
+    # a finite prefactor 1.8e306 whose tensor overflows at 2|k_loss|z_a = 0.1,
+    # where its zz entry e^x (K_0 + K_2) is about 223; a numpy warning fails it
+    cfg = {
+        "qubit": {"model": "v_shaped"},
+        "environment": {
+            "moving_slab": {"omega_sp": 100.0, "v": 2.2e-101, "z_a": 1.1122222222222221e-104}
+        },
+    }
+    out = tmp_path / "out"
+    rc = main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out), "--quiet"])
+    assert rc == 4
+    assert "prefactor" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_subnormal_rates_accepted(tmp_path):
+    # gain rates of about 1e-322: rounding alone leaves them asymmetric by
+    # 1e-323, more than 1e-10 of their own subnormal norm
+    cfg = {
+        "qubit": {"model": "v_shaped", "dipole": [0.7071067811865476, 0, [0, 0.7071067811865476]]},
+        "thermal": {"occupation": 3e-322},
+        "environment": {"moving_slab": {"omega_sp": 0.999, "v": 0.01, "z_a": 4.0}},
+    }
+    path = write_cfg(tmp_path, cfg)
+    for command in ("rates", "steady"):
+        assert main([command, "--config", path, "--out", str(tmp_path), "--quiet"]) == 0
+    assert json.loads((tmp_path / "steady.json").read_text())["kernel_dim"] == 1
+
+
 @pytest.mark.parametrize(
     "environment",
     [SUBSTRATE_CFG["environment"], {"abstract_rates": {"gamma_l": 0.1, "gamma_g": 0.05}}],
@@ -541,6 +572,21 @@ class TestRatesAndSpectrum:
         expect_xx = (2.0 / np.pi) * 0.5 * -im_r / (4 * np.pi * 8.0)
         np.testing.assert_allclose(data[:, 2], expect_xx, rtol=1e-10)
 
+    # z_a^3 underflows to 0 at 1e-110; at 1e-104 the tensors overflow
+    @pytest.mark.parametrize("z_a", [1e-110, 1e-104])
+    @pytest.mark.parametrize(
+        "command", [["rates"], ["spectrum", "--omega-min", "0.5", "--omega-max", "1.5", "--n", "3"]],
+        ids=["rates", "spectrum"],
+    )
+    def test_substrate_tensor_overflow_rejected(self, tmp_path, capsys, command, z_a):
+        cfg = json.loads(json.dumps(SUBSTRATE_CFG))
+        cfg["environment"]["isotropic_substrate"]["z_a"] = z_a
+        out = tmp_path / "out"
+        rc = main([*command, "--config", write_cfg(tmp_path, cfg), "--out", str(out), "--quiet"])
+        assert rc == 4
+        assert f"substrate tensors overflow a double at z_a = {z_a}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFigurePresets:
     def test_fig2_memory_effect(self, tmp_path):
@@ -580,6 +626,15 @@ class TestFigurePresets:
         for ext in ("csv", "svg"):
             assert (tmp_path / "evolve" / f"trajectory.{ext}").read_bytes() == (
                 tmp_path / "figure" / f"{name}.{ext}"
+            ).read_bytes()
+
+    def test_quiet_before_the_subcommand(self, tmp_path, capsys):
+        assert main(["--quiet", "figure", "fig3b", "--out", str(tmp_path / "before")]) == 0
+        assert main(["figure", "fig3b", "--out", str(tmp_path / "after"), "--quiet"]) == 0
+        assert capsys.readouterr().out == ""
+        for ext in ("csv", "svg"):
+            assert (tmp_path / "before" / f"fig3b.{ext}").read_bytes() == (
+                tmp_path / "after" / f"fig3b.{ext}"
             ).read_bytes()
 
     def test_determinism(self, tmp_path):

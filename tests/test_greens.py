@@ -81,6 +81,17 @@ class TestIsotropic:
         with pytest.raises(SingularityError):
             isotropic_gain_tensors(split, GEOM)
 
+    # z_a^3 underflows to 0 at 1e-110; at 1e-104 the tensors overflow, and a
+    # lossless split's would be 0 * inf
+    @pytest.mark.parametrize("z_a", [1e-110, 1e-104])
+    @pytest.mark.parametrize(
+        "split", [SPLIT, ScalarPermittivitySplit(eps=2.0, eps_loss=0.0, eps_gain=0.0)],
+        ids=["gain", "lossless"],
+    )
+    def test_overflow_rejected(self, split, z_a):
+        with pytest.raises(DomainError, match="substrate tensors overflow"):
+            isotropic_gain_tensors(split, SubstrateGeometry(z_a))
+
 
 class TestBesselK:
     """The scaled K_0, K_1, K_2 of the moving slab: _bessel_k012(x) is
@@ -250,6 +261,17 @@ def test_prefactor_overflow_rejected(tensors):
     p = SlabMotionParams(drude=DrudeParams(2.0), v=1e-160, geometry=SubstrateGeometry(1e-150))
     with pytest.raises(DomainError, match="prefactor"):
         tensors(p)
+
+
+def test_tensor_overflow_near_least_argument_rejected():
+    # the prefactor 1.8e306 is finite, but the loss tensor at 2|k|z_a = 0.1,
+    # where e^x (K_0 + K_2) is about 223, is not
+    p = SlabMotionParams(
+        drude=DrudeParams(100.0), v=2.2e-101,
+        geometry=SubstrateGeometry(1.1122222222222221e-104),
+    )
+    with pytest.raises(DomainError, match="channel loss: prefactor"):
+        moving_slab_tensors_exact(p)
 
 
 def circular_projector(k, p):

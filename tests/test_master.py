@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from lindgain import (
@@ -336,6 +336,12 @@ class TestCompletePositivityScale:
         nearly[0, 1] *= 1.0 + 1e-14
         rates = RateMatrices(loss=nearly, gain=s * self.PSD)
         np.testing.assert_array_equal(rates.loss, rates.loss.conj().T)
+
+
+def test_subnormal_asymmetry_beyond_rounding_rejected():
+    # judged at the least normal norm, 2.2e-308: 1e-10 of it is below 3e-318
+    with pytest.raises(ValidationError, match="loss rate matrix is not Hermitian"):
+        RateMatrices(loss=np.array([[0.0, 3e-318], [0.0, 0.0]]), gain=np.zeros((2, 2)))
 
 
 class TestEvolve:
@@ -759,6 +765,8 @@ class TestTimeReversal:
 
     @pytest.mark.parametrize("m", [1, 2])
     @given(st.integers(0, 2**32 - 1), st.floats(-3.0, 1.0), st.floats(0.0, 5.0))
+    # a subnormal gain n A, not PSD to rounding at its own norm
+    @example(seed=73, log_scale=0.0, n=5e-324)
     def test_passive_rates_relax_to_gibbs(self, m, seed, log_scale, n):
         # loss (1 + n) A and gain n A, for a random complex PSD A
         rng = np.random.default_rng(seed)
@@ -767,6 +775,10 @@ class TestTimeReversal:
         self.assert_states(RateMatrices(loss=(1.0 + n) * a, gain=n * a), self.gibbs(n, m))
 
     @given(*SLABS, st.floats(0.0, 5.0))
+    # a subnormal gain tensor n T, whose rates are not Hermitian, or not PSD,
+    # to rounding at their own norm
+    @example(omega_sp=7.5, v=0.1, x_loss=1.6, n=5e-324)
+    @example(omega_sp=7.5, v=0.35, x_loss=3.4, n=5e-324)
     def test_passive_slab_relaxes_to_gibbs(self, omega_sp, v, x_loss, n):
         # the slab's gain tensor replaced by n times its loss tensor T, and
         # T by (1 + n) T: a passive medium at occupation n

@@ -70,6 +70,25 @@ class TestPermittivitySplit:
         with pytest.raises(ValidationError):
             ScalarPermittivitySplit(eps=1.0 + 0.2j, eps_loss=0.1, eps_gain=0.1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("eps_loss", "eps_loss must be >= 0"),
+            ("eps_gain", "eps_gain must be <= 0"),
+            ("eps_re", "eps must be finite"),
+            ("eps_im", "eps must be finite"),
+        ],
+    )
+    def test_non_finite_rejected(self, field, message, bad):
+        values = {"eps_re": -1.0, "eps_im": 0.2, "eps_loss": 0.3, "eps_gain": -0.1, field: bad}
+        with pytest.raises(ValidationError, match=message):
+            ScalarPermittivitySplit(
+                eps=complex(values["eps_re"], values["eps_im"]),
+                eps_loss=values["eps_loss"],
+                eps_gain=values["eps_gain"],
+            )
+
     def test_stability_flag(self):
         stable = ScalarPermittivitySplit(eps=1 + 0.2j, eps_loss=0.3, eps_gain=-0.1)
         assert not stable.stability_warning
