@@ -228,8 +228,8 @@ def parse_initial_state(value, model: str) -> master.DensityMatrix:
         return master.DensityMatrix(np.outer(psi, psi.conj()), labels)
     rho = _complex_array(len(labels), len(labels))(value)
     tr = np.trace(rho).real
-    if abs(tr) < 1e-14:
-        raise ValidationError("initial_state is not normalizable")
+    if not tr > 0.0:
+        raise ValidationError(f"initial_state is not normalizable: trace {tr:.3g} is not > 0")
     try:
         return master.DensityMatrix(0.5 * (rho + rho.conj().T) / tr, labels)
     except NumericalInstabilityError as exc:

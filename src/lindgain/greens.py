@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, OracleError, OutOfValidityError, SingularityError, _check_positive
+from .errors import DomainError, OracleError, OutOfValidityError, _check_positive
 from .material import (
-    RESONANCE_TOL,
     DrudeParams,
     ScalarPermittivitySplit,
+    _off_resonance,
     quasistatic_reflection,
 )
 
@@ -75,14 +75,29 @@ class InteractionTensorPair:
 _ISO_SHAPE = np.diag([1.0, 1.0, 2.0])
 
 
+def _power(x: float, y: float) -> float:
+    """x**y of Python floats, or inf where Python raises OverflowError (each
+    power here is of x >= 0 or to an even y, so inf has the right sign)."""
+    try:
+        return x**y
+    except OverflowError:
+        return math.inf
+
+
 def isotropic_gain_tensors(
     split: ScalarPermittivitySplit, geom: SubstrateGeometry
 ) -> InteractionTensorPair:
     """Quasi-static loss/gain interaction tensors for a planar isotropic
     substrate: |eps''_{L,G}| / |eps+1|^2 / (16 pi z_a^3) * diag(1, 1, 2)."""
-    if abs(split.eps + 1.0) <= RESONANCE_TOL:
-        raise SingularityError("eps = -1: surface-plasmon resonance singularity")
-    denom = 16.0 * np.pi * geom.z_a**3 * abs(split.eps + 1.0) ** 2
+    d = _off_resonance(split.eps)
+    denom = 16.0 * np.pi * _power(geom.z_a, 3) * _power(d, 2)
+    if not denom < math.inf:
+        # a power or a partial product overflowed where denom need not have
+        # (a tiny z_a with a huge |eps + 1|, or z_a near 1e102 with a small
+        # one): denom from its log, to about 1e-13.  It is inf, and the
+        # tensors 0, only for a far substrate or a huge |eps + 1|
+        log_denom = math.log(16.0 * np.pi) + 3.0 * math.log(geom.z_a) + 2.0 * math.log(d)
+        denom = _power(math.e, log_denom)
     # z_a^3 is 0 below z_a = 1e-108.  The check is of the largest entry, zz,
     # as numpy forms it below; NaN, 0 * inf, fails it
     base = 1.0 / denom if denom > 0.0 else math.inf
@@ -96,11 +111,11 @@ def isotropic_gain_tensors(
 # the trapezoid rule with 32 intervals on [0, 1], scaled to each span
 _TRAPEZOID_NODES = np.linspace(0.0, 1.0, 33)
 _TRAPEZOID_WEIGHTS = np.r_[0.5, np.ones(31), 0.5] / 32.0
-_BESSEL_ORDERS = np.arange(3)[:, None]
+_BESSEL_ORDERS = np.arange(2)[:, None]
 
 
-def _bessel_k012(x: float) -> np.ndarray:
-    """e^x K_n(x) for n = 0, 1, 2 and x > 0, as scipy.special.kve
+def _bessel_k01(x: float) -> np.ndarray:
+    """e^x K_n(x) for n = 0, 1 and x > 0, as scipy.special.kve
     gives it, from one trapezoid sum on shared nodes: e^x K_n(x) =
     int_0^inf exp(-x (cosh t - 1)) cosh(n t) dt (DLMF 10.32.9), cut where the
     exponent reaches -40.  The rule converges geometrically on this integrand
@@ -115,10 +130,10 @@ def _bessel_k012(x: float) -> np.ndarray:
 
 def _exact_terms(x: float) -> tuple[float, float, float]:
     """e^x K_0, e^x K_1 and e^x (K_2 - K_0), the last as 2 e^x K_1 / x
-    (DLMF 10.29.1): the difference itself keeps only about 13 digits at
-    x = 700.  Python floats, so that the overflow check of a channel warns
-    of nothing."""
-    k0, k1, _ = _bessel_k012(x).tolist()
+    (DLMF 10.29.1), where the difference of K_2 and K_0 would keep only about
+    13 digits at x = 700.  Python floats, so that the overflow check of a
+    channel warns of nothing."""
+    k0, k1 = _bessel_k01(x).tolist()
     return k0, k1, 2.0 * k1 / x
 
 
@@ -156,18 +171,15 @@ def _slab_channel(k: float, p: SlabMotionParams, channel: str, form: str) -> np.
     # cap on the K's argument only keeps x = inf finite
     k0, k1, d = terms(min(x, 1500.0))
     h = math.exp(-0.5 * x)
-    # the largest entry, zz (2 K_1 <= 2 K_0 + 2 K_1 / x), as numpy forms it below
-    # but with k * k, which is inf where k**2 raises OverflowError (|k| >
-    # 1.3e154); NaN, inf * 0 at h = 0, fails it.  The tensor keeps k**2, whose
-    # bits k * k would move for about one k in a thousand
-    zz = (k * k * p.drude.omega_sp / p.v / (16.0 * np.pi) * h) * (2.0 * k0 + d) * h
-    if not zz < math.inf:
+    pref = _power(k, 2) * p.drude.omega_sp / p.v / (16.0 * np.pi)
+    # the largest entry, zz (2 K_1 <= 2 K_0 + 2 K_1 / x), as numpy forms it
+    # below; NaN, inf * 0 at h = 0, fails it
+    if not (pref * h) * (2.0 * k0 + d) * h < math.inf:
         raise DomainError(
             f"channel {channel}: prefactor k^2 omega_sp / (16 pi v) overflows the "
             f"tensor at k = {k:.3g}, v = {p.v:.3g}, 2|k|z_a = {x:.3g}"
         )
     s = np.sign(k)
-    pref = k**2 * p.drude.omega_sp / p.v / (16.0 * np.pi)
     mat = np.array(
         [
             [2.0 * k0, 0.0, -2.0j * s * k1],
@@ -280,5 +292,5 @@ def greens_identity_check(
     pair = isotropic_gain_tensors(split, geom)
     lhs = pair.loss - pair.gain
     r = quasistatic_reflection(split.eps)
-    rhs = -r.imag * _ISO_SHAPE / (4.0 * np.pi * (2.0 * geom.z_a) ** 3)
+    rhs = -r.imag * _ISO_SHAPE / (4.0 * np.pi * _power(2.0 * geom.z_a, 3))
     return float(np.max(np.abs(lhs - rhs)))

@@ -71,10 +71,18 @@ class DrudeParams:
 RESONANCE_TOL = 1e-12
 
 
+def _off_resonance(eps: complex) -> float:
+    """|eps + 1|, the distance from the surface-plasmon resonance eps = -1,
+    where quasi-static responses are singular: SingularityError there."""
+    d = abs(eps + 1.0)
+    if d <= RESONANCE_TOL:
+        raise SingularityError("eps = -1: surface-plasmon resonance singularity")
+    return d
+
+
 def quasistatic_reflection(eps: complex) -> complex:
     """Quasi-static reflection coefficient (1 - eps) / (1 + eps) for
     illumination from the air side."""
-    if abs(eps + 1.0) <= RESONANCE_TOL:
-        raise SingularityError("eps = -1: surface-plasmon resonance singularity")
+    _off_resonance(eps)
     return (1.0 - eps) / (1.0 + eps)
 

@@ -185,6 +185,9 @@ WRONG_TYPED = [
     (EVOLUTION, "evolution.initial_state", "e1", "evolution.initial_state"),
     (EVOLUTION, "evolution.initial_state", [[1, 0], [0]], "evolution.initial_state"),
     (EVOLUTION, "evolution.initial_state", [[1, 2], [2, 0]], "evolution.initial_state"),
+    # -I is not the state I/2, as dividing by its negative trace would make it
+    (EVOLUTION, "evolution.initial_state", [[-1, 0], [0, -1]],
+     "evolution.initial_state: initial_state is not normalizable: trace -2 is not > 0"),
 ]
 
 
@@ -203,6 +206,17 @@ def test_wrong_typed_config_rejected(tmp_path, capsys, command, path, value, sho
     assert rc == 2
     assert f"config field {shown}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_initial_state_small_trace_normalized(tmp_path):
+    # a trace of 1e-15 is small, not zero: the state is g, bit for bit
+    for name, state in (("matrix", [[1e-15, 0], [0, 0]]), ("named", "g")):
+        cfg = _with(SUBSTRATE_CFG, "evolution.initial_state", state)
+        rc = main(["evolve", "--config", write_cfg(tmp_path, cfg), "--out",
+                   str(tmp_path / name), "--quiet"])
+        assert rc == 0
+    csv = [(tmp_path / name / "trajectory.csv").read_bytes() for name in ("matrix", "named")]
+    assert csv[0] == csv[1]
 
 
 @pytest.mark.parametrize(
@@ -525,6 +539,16 @@ class TestSteady:
             assert record["closed_form_match"] is True
 
 
+FAR_SUBSTRATES = pytest.mark.parametrize(
+    "substrate",
+    [
+        {**SUBSTRATE_CFG["environment"]["isotropic_substrate"], "z_a": 1e103},
+        {**SUBSTRATE_CFG["environment"]["isotropic_substrate"], "eps_re": 1e160},
+    ],
+    ids=["z_a=1e103", "eps_re=1e160"],
+)
+
+
 class TestRatesAndSpectrum:
     def test_rates_reproduces_substrate_tensors(self, tmp_path):
         rc = main(["rates", "--config", write_cfg(tmp_path, SUBSTRATE_CFG),
@@ -586,6 +610,38 @@ class TestRatesAndSpectrum:
         assert rc == 4
         assert f"substrate tensors overflow a double at z_a = {z_a}" in capsys.readouterr().err
         assert not out.exists()
+
+    # z_a^3 overflows a double at z_a 1e103, and |eps + 1|^2 at eps_re 1e160;
+    # the true entries are below the least normal double (3e-310 and 1e-322), and
+    # a numpy warning fails it
+    @pytest.mark.parametrize(
+        "command", [["rates"], ["spectrum", "--omega-min", "0.5", "--omega-max", "1.5", "--n", "3"]],
+        ids=["rates", "spectrum"],
+    )
+    @FAR_SUBSTRATES
+    def test_far_substrate_tensors_are_zero(self, tmp_path, command, substrate):
+        cfg = _with(SUBSTRATE_CFG, "environment.isotropic_substrate", substrate)
+        rc = main([*command, "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path),
+                   "--quiet"])
+        assert rc == 0
+        if command == ["rates"]:
+            record = json.loads((tmp_path / "rates.json").read_text())
+            for name in ("tensor_loss", "tensor_gain"):
+                assert not np.any(record[name]["real"]) and not np.any(record[name]["imag"])
+            assert record["gamma_loss"] == record["gamma_gain"] == 0.0
+        else:
+            _, data = read_csv(tmp_path / "spectrum.csv")
+            assert not data[:, 2:].any()
+
+    @FAR_SUBSTRATES
+    def test_far_substrate_steady_is_degenerate(self, tmp_path, capsys, substrate):
+        # all rates zero, and no initial state to select a steady state
+        cfg = _with(SUBSTRATE_CFG, "environment.isotropic_substrate", substrate)
+        del cfg["evolution"]
+        rc = main(["steady", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path),
+                   "--quiet"])
+        assert rc == 3
+        assert "an initial state is required" in capsys.readouterr().err
 
 
 class TestFigurePresets:

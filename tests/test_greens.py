@@ -20,7 +20,7 @@ from lindgain import (
     moving_slab_tensors_asymptotic,
     moving_slab_tensors_exact,
 )
-from lindgain.greens import _bessel_k012
+from lindgain.greens import _bessel_k01
 
 SPLIT = ScalarPermittivitySplit(eps=-1 + 0.2j, eps_loss=0.3, eps_gain=-0.1)
 GEOM = SubstrateGeometry(z_a=1.0)
@@ -92,47 +92,63 @@ class TestIsotropic:
         with pytest.raises(DomainError, match="substrate tensors overflow"):
             isotropic_gain_tensors(split, SubstrateGeometry(z_a))
 
+    # z_a^3, |eps + 1|^2 or a partial product of 16 pi z_a^3 |eps + 1|^2
+    # overflows; zz from 40-digit mpmath, and 0 where the product overflows
+    # too (its true value 3e-310 at z_a 1e103, 1e-322 at eps 1e160)
+    @pytest.mark.parametrize(
+        "eps, eps_gain, z_a, zz",
+        [
+            (-1 + 0.2j, -0.1, 1e103, 0.0),
+            (1e160 + 0.2j, -0.1, 1.0, 0.0),
+            (1e160 + 0.2j, -0.1, 1e-104, 1.1936620731892152e-10),
+            (1e160 + 0.2j, -0.1, 1e-110, 119366207.31892148),
+            (-1 + 1e-6 + 0j, -0.3, 5e102, 9.549296584964527e-299),
+            (-1 + 0.2j, -0.1, 1.6e102, 7.2855351146802671e-308),
+        ],
+        ids=["far", "huge_eps", "huge_eps-small_z_a", "huge_eps-tiny_z_a", "near_resonance",
+             "z_a=1.6e102"],
+    )
+    def test_overflowing_factor(self, eps, eps_gain, z_a, zz):
+        split = ScalarPermittivitySplit(eps=eps, eps_loss=0.3, eps_gain=eps_gain)
+        pair = isotropic_gain_tensors(split, SubstrateGeometry(z_a))
+        assert pair.loss[2, 2].real == pytest.approx(zz, rel=1e-12, abs=0.0)
+
 
 class TestBesselK:
-    """The scaled K_0, K_1, K_2 of the moving slab: _bessel_k012(x) is
+    """The scaled K_0, K_1 of the moving slab: _bessel_k01(x) is
     e^x K_n(x), as scipy.special.kve gives it."""
 
     def test_reference_values(self):
-        k = np.exp(-1.0) * _bessel_k012(1.0)
+        k = np.exp(-1.0) * _bessel_k01(1.0)
         assert k[0] == pytest.approx(0.421024438, rel=1e-9)
         assert k[1] == pytest.approx(0.601907230, rel=1e-9)
 
     @pytest.mark.parametrize("x", [0.05, 0.3, 1.0, 4.0, 20.0, 100.0])
-    @pytest.mark.parametrize("n", [0, 1, 2])
+    @pytest.mark.parametrize("n", [0, 1])
     def test_against_integral_representation(self, n, x):
-        k = np.exp(-x) * _bessel_k012(x)[n]
+        k = np.exp(-x) * _bessel_k01(x)[n]
         assert k == pytest.approx(bessel_k_integral(n, x), rel=1e-10)
 
-    def test_recurrence(self):
-        # K_2(x) = K_0(x) + 2 K_1(x) / x, at x = 1, where e^x cancels
-        k0, k1, k2 = _bessel_k012(1.0)
-        assert k2 == pytest.approx(k0 + 2.0 * k1, abs=1e-12)
-
     @pytest.mark.parametrize("x", [20.0, 50.0, 200.0])
-    @pytest.mark.parametrize("n", [0, 1, 2])
+    @pytest.mark.parametrize("n", [0, 1])
     def test_large_argument_asymptotics(self, n, x):
         lead = np.sqrt(np.pi / (2.0 * x))
-        rel = abs(_bessel_k012(x)[n] / lead - 1.0)
+        rel = abs(_bessel_k01(x)[n] / lead - 1.0)
         assert rel <= abs(4 * n**2 - 1) / (8.0 * x) * 1.5 + 1e-12
 
-    @pytest.mark.parametrize("n", [0, 1, 2])
+    @pytest.mark.parametrize("n", [0, 1])
     def test_against_scipy(self, n):
         # up to the argument where the slab channel caps it
         xs = np.geomspace(0.05, 1500.0, 1501)
-        scaled = np.array([_bessel_k012(x)[n] for x in xs])
+        scaled = np.array([_bessel_k01(x)[n] for x in xs])
         np.testing.assert_allclose(scaled, kve(n, xs), rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("x", [750.0, 1e3, 1e300, np.finfo(float).max])
     def test_underflow_is_zero(self, x):
         # K_n as the slab channel applies it, h (e^x K_n) h with h = e^(-x/2)
         h = np.exp(-0.5 * x)
-        for n in (0, 1, 2):
-            assert h * _bessel_k012(x)[n] * h == 0.0 == kn(n, x)
+        for n in (0, 1):
+            assert h * _bessel_k01(x)[n] * h == 0.0 == kn(n, x)
 
 
 SLAB = SlabMotionParams(drude=DrudeParams(2.0), v=0.2, geometry=GEOM)
@@ -375,6 +391,11 @@ class TestIdentity:
             geom = SubstrateGeometry(z_a=z)
             norm = scale / z**3
             assert greens_identity_check(SPLIT, geom) <= 1e-12 * norm
+
+    def test_far_substrate(self):
+        # (2 z_a)^3 overflows a double, and both sides are below the least
+        # normal double
+        assert greens_identity_check(SPLIT, SubstrateGeometry(4e102)) < np.finfo(float).tiny
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
