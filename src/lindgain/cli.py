@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import numbers
 import sys
 from pathlib import Path
@@ -227,9 +228,15 @@ def parse_initial_state(value, model: str) -> master.DensityMatrix:
         psi = named[_choice(named)(value)].astype(complex)
         return master.DensityMatrix(np.outer(psi, psi.conj()), labels)
     rho = _complex_array(len(labels), len(labels))(value)
-    tr = np.trace(rho).real
+    # its parts scaled by a power of two (exact for normal entries) so that the
+    # largest is in [1, 2): the trace cannot overflow, nor 1 / trace if PSD
+    exp = math.frexp(np.abs(rho.view(float)).max())[1] - 1
+    rho = np.ldexp(rho.view(float), -exp).view(complex)
+    tr = float(np.trace(rho).real)
     if not tr > 0.0:
-        raise ValidationError(f"initial_state is not normalizable: trace {tr:.3g} is not > 0")
+        raise ValidationError(
+            f"initial_state is not normalizable: trace {tr * 2.0**exp:.3g} is not > 0"
+        )
     try:
         return master.DensityMatrix(0.5 * (rho + rho.conj().T) / tr, labels)
     except NumericalInstabilityError as exc:
@@ -246,10 +253,9 @@ COLORS = ("green", "blue", "red")
 
 def _write_csv(path: Path, columns: dict) -> None:
     """One CSV file from a header -> column mapping, 12 significant digits."""
-    row = ",".join(["{:.11e}"] * len(columns))
-    rows = np.column_stack(list(columns.values())).tolist()
-    lines = [",".join(columns)] + [row.format(*r) for r in rows]
-    path.write_text("\n".join(lines) + "\n")
+    data = np.column_stack(list(columns.values()))
+    rows = (",".join(["%.11e"] * len(columns)) + "\n") * len(data)
+    path.write_text(",".join(columns) + "\n" + rows % tuple(data.ravel().tolist()))
 
 
 def _populations(labels: tuple, pops: np.ndarray) -> dict:
@@ -287,18 +293,9 @@ def _svg_line_chart(
     ys = np.concatenate([s[2] for s in series])
     x0, x1 = float(xs.min()), float(xs.max())
     y0, y1 = float(ys.min()), float(ys.max())
-    if x1 - x0 < 1e-300:
-        x1 = x0 + 1.0
     if y1 - y0 < 1e-12:
         y1 = y0 + 1.0
     y0, y1 = y0 - 0.05 * (y1 - y0), y1 + 0.05 * (y1 - y0)
-
-    def px(x):
-        return pad + (x - x0) / (x1 - x0) * (w - 2 * pad)
-
-    def py(y):
-        return h - pad - (y - y0) / (y1 - y0) * (h - 2 * pad)
-
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}">',
         f'<rect width="{w}" height="{h}" fill="white"/>',
@@ -311,7 +308,11 @@ def _svg_line_chart(
     ]
     for k, (label, x, y) in enumerate(series):
         color = COLORS[k]
-        pts = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(x, y))
+        xy = np.column_stack([
+            pad + (x - x0) / (x1 - x0) * (w - 2 * pad),
+            h - pad - (y - y0) / (y1 - y0) * (h - 2 * pad),
+        ])
+        pts = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
@@ -330,10 +331,7 @@ def _plot_trajectory(path: Path, traj: master.Trajectory) -> None:
 
 
 def _complex_matrix_json(m: np.ndarray) -> dict:
-    return {
-        "real": [[float(x) for x in row] for row in m.real],
-        "imag": [[float(x) for x in row] for row in m.imag],
-    }
+    return {"real": m.real.tolist(), "imag": m.imag.tolist()}
 
 
 def _write_json(path: Path, record: dict) -> None:
@@ -530,6 +528,9 @@ def build_parser() -> argparse.ArgumentParser:
     # also accepted after the subcommand; SUPPRESS keeps the global value
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS)
+    common.add_argument("--out", default=".")
+    configured = argparse.ArgumentParser(add_help=False, parents=[common])
+    configured.add_argument("--config", required=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, text in (
@@ -537,20 +538,15 @@ def build_parser() -> argparse.ArgumentParser:
         ("steady", "steady state via kernel analysis"),
         ("rates", "dump interaction tensors and rates"),
     ):
-        p = sub.add_parser(name, help=text, parents=[common])
-        p.add_argument("--config", required=True)
-        p.add_argument("--out", default=".")
+        sub.add_parser(name, help=text, parents=[configured])
 
-    p = sub.add_parser("spectrum", help="field spectral density sweep", parents=[common])
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("spectrum", help="field spectral density sweep", parents=[configured])
     p.add_argument("--omega-min", type=float, required=True)
     p.add_argument("--omega-max", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out", default=".")
 
     p = sub.add_parser("figure", help="reproduce a figure preset", parents=[common])
     p.add_argument("name", choices=FIGURES)
-    p.add_argument("--out", default=".")
     return parser
 
 

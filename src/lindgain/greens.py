@@ -73,6 +73,7 @@ class InteractionTensorPair:
 
 
 _ISO_SHAPE = np.diag([1.0, 1.0, 2.0])
+_TINY = np.finfo(float).tiny
 
 
 def _power(x: float, y: float) -> float:
@@ -90,21 +91,25 @@ def isotropic_gain_tensors(
     """Quasi-static loss/gain interaction tensors for a planar isotropic
     substrate: |eps''_{L,G}| / |eps+1|^2 / (16 pi z_a^3) * diag(1, 1, 2)."""
     d = _off_resonance(split.eps)
+    nums = (split.eps_loss, abs(split.eps_gain))
     denom = 16.0 * np.pi * _power(geom.z_a, 3) * _power(d, 2)
-    if not denom < math.inf:
-        # a power or a partial product overflowed where denom need not have
-        # (a tiny z_a with a huge |eps + 1|, or z_a near 1e102 with a small
-        # one): denom from its log, to about 1e-13.  It is inf, and the
-        # tensors 0, only for a far substrate or a huge |eps + 1|
+    if denom < math.inf:
+        # z_a^3 is 0 below z_a = 1e-108
+        base = 1.0 / denom if denom > 0.0 else math.inf
+        scales = [num * base for num in nums]
+    else:
+        # a power or a partial product overflowed (a tiny z_a with a huge
+        # |eps + 1|, a far substrate, or a huge |eps + 1|): each scale from
+        # logs, numerator included, to about 1e-13.  Below the least normal
+        # double its last digits would be lost, and it is 0
         log_denom = math.log(16.0 * np.pi) + 3.0 * math.log(geom.z_a) + 2.0 * math.log(d)
-        denom = _power(math.e, log_denom)
-    # z_a^3 is 0 below z_a = 1e-108.  The check is of the largest entry, zz,
-    # as numpy forms it below; NaN, 0 * inf, fails it
-    base = 1.0 / denom if denom > 0.0 else math.inf
-    if not max(split.eps_loss, abs(split.eps_gain)) * base * 2.0 < math.inf:
+        scales = [_power(math.e, math.log(num) - log_denom) if num > 0.0 else 0.0 for num in nums]
+        scales = [s if s >= _TINY else 0.0 for s in scales]
+    # the check is of the largest entry, zz, as numpy forms it below; NaN,
+    # 0 * inf, fails it
+    if not max(scales) * 2.0 < math.inf:
         raise DomainError(f"substrate tensors overflow a double at z_a = {geom.z_a}")
-    loss = split.eps_loss * base * _ISO_SHAPE.astype(complex)
-    gain = abs(split.eps_gain) * base * _ISO_SHAPE.astype(complex)
+    loss, gain = (scale * _ISO_SHAPE.astype(complex) for scale in scales)
     return InteractionTensorPair(loss=loss, gain=gain)
 
 

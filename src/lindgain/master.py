@@ -34,7 +34,6 @@ HERMITICITY_TOL = 1e-9
 _TINY = np.finfo(float).tiny
 
 LABELS = {2: ("g", "e"), 3: ("g", "e1", "e2")}
-TWO_LEVEL_LABELS = LABELS[2]
 V_LABELS = LABELS[3]
 
 
@@ -252,12 +251,15 @@ def liouvillian(rates: RateMatrices, omega_a: float = 1.0) -> np.ndarray:
     return mat
 
 
-def _state_dim(L: np.ndarray) -> int:
-    """d of a (d^2, d^2) generator over the states of a qubit model."""
-    for dim in LABELS:
-        if np.shape(L) == (dim * dim,) * 2:
-            return dim
-    raise ValidationError(f"generator must be 4x4 or 9x9, got shape {np.shape(L)}")
+def _state_dim(L: np.ndarray, rho0: DensityMatrix | None = None) -> int:
+    """d of a (d^2, d^2) generator over the states of a qubit model, which
+    an initial state ``rho0``, when given, must share."""
+    dim = next((d for d in LABELS if np.shape(L) == (d * d,) * 2), None)
+    if dim is None:
+        raise ValidationError(f"generator must be 4x4 or 9x9, got shape {np.shape(L)}")
+    if rho0 is not None and rho0.rho.shape != (dim, dim):
+        raise ValidationError("initial state dimension does not match generator")
+    return dim
 
 
 def trace_residual(L: np.ndarray) -> float:
@@ -277,9 +279,7 @@ def evolve(
     _check_positive("t_max", t_max)
     if n_steps < 2:
         raise DomainError("n_steps must be >= 2")
-    dim = _state_dim(L)
-    if rho0.rho.shape != (dim, dim):
-        raise ValidationError("initial state dimension does not match generator")
+    dim = _state_dim(L, rho0)
     times = np.linspace(0.0, t_max, n_steps + 1)
     dt = times[1] - times[0]
     prop = expm(L * dt)
@@ -318,9 +318,7 @@ def _kernel_states(Ls: np.ndarray, rho0: DensityMatrix | None) -> tuple[np.ndarr
     Ls = np.asarray(Ls)
     if Ls.ndim == 0 or len(Ls) == 0:
         raise ValidationError(f"generators must be a nonempty stack, got shape {Ls.shape}")
-    n, dim = len(Ls), _state_dim(Ls[0])
-    if rho0 is not None and rho0.rho.shape != (dim, dim):
-        raise ValidationError("initial state dimension does not match generator")
+    n, dim = len(Ls), _state_dim(Ls[0], rho0)
     flat = Ls.reshape(n, -1)
     if not np.isfinite(flat).all():
         raise NumericalInstabilityError("generator has non-finite entries")
@@ -410,7 +408,7 @@ def steady_two_level_closed(rates: RateMatrices) -> DensityMatrix:
     if tot <= 0:
         raise DomainError("both rates zero: steady state degenerate")
     rho = np.diag([gl / tot, gg / tot]).astype(complex)
-    return DensityMatrix(rho, TWO_LEVEL_LABELS)
+    return DensityMatrix(rho, LABELS[2])
 
 
 def steady_v_closed(rates: RateMatrices) -> DensityMatrix:

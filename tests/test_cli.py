@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from lindgain import DrudeParams, RateMatrices, greens, steady_v_closed
-from lindgain.cli import FIGURE_PRESETS, build_rate_model, main
+from lindgain.cli import (
+    FIGURE_PRESETS,
+    _complex_matrix_json,
+    _svg_line_chart,
+    _write_csv,
+    build_rate_model,
+    main,
+)
 
 SUBSTRATE_CFG = {
     "qubit": {"model": "two_level", "dipole": [1.0, 0.0, 0.0]},
@@ -217,6 +224,20 @@ def test_initial_state_small_trace_normalized(tmp_path):
         assert rc == 0
     csv = [(tmp_path / name / "trajectory.csv").read_bytes() for name in ("matrix", "named")]
     assert csv[0] == csv[1]
+
+
+@pytest.mark.parametrize("entry", [1e308, 1e-310], ids=["huge", "subnormal"])
+def test_initial_state_of_any_scale_normalized(tmp_path, entry):
+    # the trace of entry * I overflows a double, or 1 / trace does; the state
+    # is I/2 all the same
+    for name, state in (("scaled", [[entry, 0], [0, entry]]), ("unit", [[1, 0], [0, 1]])):
+        cfg = _with(SUBSTRATE_CFG, "evolution.initial_state", state)
+        rc = main(["evolve", "--config", write_cfg(tmp_path, cfg), "--out",
+                   str(tmp_path / name), "--quiet"])
+        assert rc == 0
+    csv = [(tmp_path / name / "trajectory.csv").read_bytes() for name in ("scaled", "unit")]
+    assert csv[0] == csv[1]
+    assert csv[0].split(b"\n")[1].startswith(b"0.00000000000e+00,5.00000000000e-01,5.00000000000e-01,")
 
 
 @pytest.mark.parametrize(
@@ -699,3 +720,59 @@ class TestFigurePresets:
         assert (tmp_path / "a" / "fig2a.csv").read_bytes() == (
             tmp_path / "b" / "fig2a.csv"
         ).read_bytes()
+
+
+class TestWriters:
+    """The exact text of each writer on fixed arrays."""
+
+    def test_csv_text(self, tmp_path):
+        _write_csv(tmp_path / "a.csv", {"t": np.array([0.0, 1e308]), "x": np.array([-0.0, 5e-324])})
+        assert (tmp_path / "a.csv").read_text() == (
+            "t,x\n"
+            "0.00000000000e+00,-0.00000000000e+00\n"
+            "1.00000000000e+308,4.94065645841e-324\n"
+        )
+
+    def test_svg_polyline(self):
+        svg = _svg_line_chart(
+            [("p", np.array([0.0, 0.5, 2.0]), np.array([0.25, 1.0, 0.0]))], "t", "p"
+        )
+        assert [line for line in svg.split("\n") if "polyline" in line] == [
+            '<polyline points="56.00,280.00 188.00,70.00 584.00,350.00" fill="none" '
+            'stroke="green" stroke-width="1.5"/>'
+        ]
+
+    def test_same_text_as_per_value_formatting(self, tmp_path):
+        # the per-value loops that whole-file formatting replaced, as the
+        # reference, on values spread over the range of a double
+        rng = np.random.default_rng(0)
+        t = np.sort(rng.uniform(0.0, 3.0, 50))
+        v = rng.standard_normal(50) * 10.0 ** rng.integers(-320, 308, 50)
+        _write_csv(tmp_path / "a.csv", {"t": t, "v": v})
+        rows = [f"{a:.11e},{b:.11e}" for a, b in zip(t, v)]
+        assert (tmp_path / "a.csv").read_text() == "\n".join(["t,v", *rows]) + "\n"
+        p = rng.uniform(0.0, 1.0, 50)
+        x0, x1, y0, y1 = t.min(), t.max(), p.min(), p.max()
+        y0, y1 = y0 - 0.05 * (y1 - y0), y1 + 0.05 * (y1 - y0)
+        pts = " ".join(
+            f"{56 + (a - x0) / (x1 - x0) * 528:.2f},{364 - (b - y0) / (y1 - y0) * 308:.2f}"
+            for a, b in zip(t, p)
+        )
+        assert f'points="{pts}"' in _svg_line_chart([("p", t, p)], "t", "p")
+
+    def test_complex_matrix_json(self):
+        record = _complex_matrix_json(np.array([[1 + 2j, -0.0], [5e-324j, 1e308]]))
+        assert json.dumps(record) == (
+            '{"real": [[1.0, -0.0], [0.0, 1e+308]], "imag": [[2.0, 0.0], [5e-324, 0.0]]}'
+        )
+
+    def test_subnormal_t_max_spans_the_plot(self, tmp_path):
+        cfg = _with(FIG2_CFG, "evolution", {"t_max": 1e-310, "n_steps": 4, "initial_state": "e1"})
+        assert main(["evolve", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path),
+                     "--quiet"]) == 0
+        svg = (tmp_path / "trajectory.svg").read_text()
+        lines = [line for line in svg.split("\n") if "polyline" in line]
+        assert len(lines) == 3
+        for line in lines:
+            xs = [p.split(",")[0] for p in line.split('"')[1].split()]
+            assert xs == ["56.00", "188.00", "320.00", "452.00", "584.00"]

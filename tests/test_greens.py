@@ -113,6 +113,15 @@ class TestIsotropic:
         pair = isotropic_gain_tensors(split, SubstrateGeometry(z_a))
         assert pair.loss[2, 2].real == pytest.approx(zz, rel=1e-12, abs=0.0)
 
+    def test_huge_numerator_over_overflowing_factor(self):
+        # |eps + 1|^2 = 1e300 and 16 pi z_a^3 |eps + 1|^2 overflow, but the
+        # huge eps_loss brings zz back into the normal range; zz from 40-digit mpmath
+        split = ScalarPermittivitySplit(eps=-1 + 1e150j, eps_loss=1e150, eps_gain=0.0)
+        pair = isotropic_gain_tensors(split, SubstrateGeometry(1e3))
+        assert pair.loss[2, 2].real == pytest.approx(3.978873577297383e-161, rel=1e-12, abs=0.0)
+        assert pair.loss[0, 0] == pair.loss[1, 1] == 0.5 * pair.loss[2, 2]
+        assert not pair.gain.any()
+
 
 class TestBesselK:
     """The scaled K_0, K_1 of the moving slab: _bessel_k01(x) is

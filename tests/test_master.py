@@ -36,7 +36,7 @@ from lindgain import (
     thermal,
     trace_residual,
 )
-from lindgain.master import TWO_LEVEL_LABELS, V_LABELS, DensityMatrix
+from lindgain.master import LABELS, V_LABELS, DensityMatrix
 
 GEOM = SubstrateGeometry(z_a=1.0)
 SPLIT = ScalarPermittivitySplit(eps=-1 + 0.2j, eps_loss=0.3, eps_gain=-0.1)
@@ -44,10 +44,9 @@ ISO_PAIR = isotropic_gain_tensors(SPLIT, GEOM)
 
 
 def pure_state(index, dim):
-    labels = TWO_LEVEL_LABELS if dim == 2 else V_LABELS
     psi = np.zeros(dim, dtype=complex)
     psi[index] = 1.0
-    return DensityMatrix(np.outer(psi, psi.conj()), labels)
+    return DensityMatrix(np.outer(psi, psi.conj()), LABELS[dim])
 
 
 def random_psd_rate_matrices(rng):
@@ -251,6 +250,20 @@ class TestLiouvillianTwoLevel:
             with pytest.raises(ValidationError, match="generator must be 4x4 or 9x9"):
                 call(L)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda L, rho0: evolve(L, rho0, 1.0, 2),
+            steady_state_kernel,
+            lambda L, rho0: steady_states(L[None], rho0),
+        ],
+        ids=["evolve", "steady_state_kernel", "steady_states"],
+    )
+    def test_initial_state_of_another_model_rejected(self, call):
+        L = liouvillian(RatePair(0.3, 0.2))
+        with pytest.raises(ValidationError, match="initial state dimension does not match"):
+            call(L, pure_state(0, 3))
+
     def test_trace_preservation(self):
         L = liouvillian(RatePair(0.3, 0.2))
         assert trace_residual(L) <= 1e-12 * np.linalg.norm(L)
@@ -409,11 +422,11 @@ class TestEvolve:
 
     def test_validate_rejects_nan_state(self):
         with pytest.raises(NumericalInstabilityError):
-            DensityMatrix(np.full((2, 2), np.nan), TWO_LEVEL_LABELS)
+            DensityMatrix(np.full((2, 2), np.nan), LABELS[2])
 
     def test_state_checked_when_built(self):
         with pytest.raises(NumericalInstabilityError, match="negative eigenvalue"):
-            DensityMatrix(np.array([[1.0, 2.0], [2.0, 0.0]]), TWO_LEVEL_LABELS)
+            DensityMatrix(np.array([[1.0, 2.0], [2.0, 0.0]]), LABELS[2])
 
     @pytest.mark.parametrize("t_max", [np.nan, np.inf])
     def test_non_finite_t_max_rejected(self, t_max):
@@ -674,7 +687,7 @@ class TestLinearFamily:
             assert residual <= 1e-12
 
     def test_fit_needs_a_v_state(self):
-        state = DensityMatrix(np.diag([0.5, 0.5]), TWO_LEVEL_LABELS)
+        state = DensityMatrix(np.diag([0.5, 0.5]), LABELS[2])
         with pytest.raises(ValidationError, match="3x3 state, got 2x2"):
             fit_linear_family_theta(state, RatePair(0.1, 0.05))
 
